@@ -8,6 +8,7 @@ stays exact end to end.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -28,6 +29,8 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational from {value!r}") from exc
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"cannot coerce {value} to a rational")
         return Fraction(value)
     raise ValidationError(f"cannot coerce {type(value).__name__} to a rational")
 

@@ -203,15 +203,13 @@ def mean(dist: AtomicDist):
     return sum(x * w for x, w in dist.atoms)
 
 
-def conjugate(dist: AtomicDist) -> AtomicDist:
-    """The distribution whose CDF is the anti-diagonal reflection of F.
+def support_gaps(dist: AtomicDist):
+    """Nonempty support gaps of ``dist``: their indices and their atoms.
 
-    Computed combinatorially, which is exact for rational inputs: writing the
-    atoms as ``x_1 < ... < x_k`` with cumulative weights ``C_1, ..., C_k``,
-    each gap ``(x_j, x_{j+1})`` of the support (with ``x_0 = 0``,
-    ``x_{k+1} = 1``) becomes an atom of weight ``x_{j+1} - x_j`` at location
-    ``1 - C_j``, and each atom becomes a gap.  The conjugate has the same
-    mean, and conjugating twice returns the original distribution.
+    Gap ``j`` lies between atoms ``x_j < x_{j+1}`` (``x_0 = 0``,
+    ``x_{k+1} = 1``); its atom has location ``1 - C_j``, where ``C_j`` is
+    the weight of the first ``j`` atoms, and weight ``x_{j+1} - x_j``.
+    Returns the list of indices and the parallel list of atoms.
     """
     zero = dist.weights[0] * 0  # Fraction(0) on the exact path, else 0.0
     one = zero + 1
@@ -220,17 +218,29 @@ def conjugate(dist: AtomicDist) -> AtomicDist:
     for w in dist.weights:
         cums.append(cums[-1] + w)
     prev = zero
-    out = []
+    indices, atoms = [], []
     for j, x_next in enumerate(xs):
         gap = x_next - prev
         if gap > 0:
+            indices.append(j)
             # Float weight sums can overshoot 1 by an ulp; pin the location
             # back into the unit interval.
-            loc = min(max(one - cums[j], zero), one)
-            out.append((loc, gap))
+            atoms.append((min(max(one - cums[j], zero), one), gap))
         prev = x_next
-    out.reverse()
-    return AtomicDist(out)
+    return indices, atoms
+
+
+def conjugate(dist: AtomicDist) -> AtomicDist:
+    """The distribution whose CDF is the anti-diagonal reflection of F.
+
+    Computed combinatorially, which is exact for rational inputs: each
+    support gap of ``dist`` (see :func:`support_gaps`) becomes an atom and
+    each atom becomes a gap.  The conjugate has the same mean, and
+    conjugating twice returns the original distribution.
+    """
+    _, atoms = support_gaps(dist)
+    atoms.reverse()
+    return AtomicDist(atoms)
 
 
 def _merged_breakpoints(a: AtomicDist, b: AtomicDist):

@@ -4,9 +4,10 @@ For a binary state and two agents, a pair of belief distributions is
 realizable by some private private structure exactly when the second is a
 mean-preserving contraction of the conjugate of the first.
 :func:`feasibility_certificate` makes the existence constructive: it returns
-an explicit joint table with the requested marginulary posteriors, built as
-the exact staircase when the pair sits on the Pareto frontier and through a
-small LP otherwise.
+an explicit joint table with the requested marginal posteriors, built as the
+paper's proof builds it.  The staircase table of ``(mu1, conjugate(mu1))``
+is garbled on agent 2's side through the left-curtain martingale coupling of
+``conjugate(mu1)`` and ``mu2``, computed by one exact left-to-right sweep.
 
 :func:`maximize_welfare` optimizes social welfare over the frontier.  A
 welfare-maximal structure always exists with one agent holding a two-point
@@ -19,7 +20,6 @@ delta_{pbar+alpha}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,15 +29,10 @@ from .beliefs import (
     conjugate,
     is_mpc,
     mean,
-    wasserstein1,
+    support_gaps,
 )
 from .errors import ValidationError
-from .lp import EQ, solve_lp
 from .structures import FiniteStructure
-
-#: Above this many q-table variables the certificate LP switches to HiGHS;
-#: the exact simplex is meant for small atomic pairs, not grid pairs.
-EXACT_LP_BUDGET = 150
 
 
 def is_feasible_pair(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bool:
@@ -52,149 +47,62 @@ def is_feasible_pair(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bool:
     return is_mpc(mu2, conjugate(mu1), tol)
 
 
-def _gaps(mu: AtomicDist):
-    """Support gaps of ``mu``: (gap index, conjugate atom location, weight);
-    gap j sits between atom j and atom j+1 (with virtual atoms at 0 and 1)."""
-    zero = mu.weights[0] * 0
-    one = zero + 1
-    xs = list(mu.locations) + [one]
-    cums = [zero]
-    for w in mu.weights:
-        cums.append(cums[-1] + w)
-    out = []
-    prev = zero
-    for j, x_next in enumerate(xs):
-        if x_next - prev > 0:
-            out.append((j, one - cums[j], x_next - prev))
-        prev = x_next
-    return out
+def _shadow(free, m, z):
+    """Take the left-curtain shadow of an atom ``(z, m)`` out of ``free``.
 
-
-def _staircase_certificate(mu1: AtomicDist) -> FiniteStructure:
-    """Exact joint table for the frontier pair (mu1, conjugate(mu1)).
-
-    Agent 1's values index the atoms of ``mu1``; agent 2's index its support
-    gaps.  The state is 1 exactly when the atom index exceeds the gap index,
-    which reproduces both belief distributions identically and makes the
-    structure perfect.
+    ``free`` holds the conjugate mass not yet taken, as ``(gap index,
+    location, mass)`` entries in ascending location.  The shadow is the
+    leftmost quantile window of mass ``m`` whose barycenter is ``z``; the
+    window slides right from the left end, and between two breakpoints its
+    first moment is linear in the shift, so the stopping point is solved
+    for exactly.  When no window reaches ``z`` (float round-off) the sweep
+    stops at the rightmost one.  Returns the entries taken and the entries
+    left free.
     """
-    gaps = _gaps(mu1)
-    k_n = len(mu1.atoms)
-    j_n = len(gaps)
-    if mu1.exact:
-        pmf = np.full((2, k_n, j_n), Fraction(0), dtype=object)
+    if not free:
+        return [], free
+    zero = m * 0
+    last = len(free) - 1
+    # The window is free[a] from ``left`` on, through free[b] up to ``right``.
+    b, acc, moment = 0, zero, zero
+    while b < last and acc + free[b][2] < m:
+        acc += free[b][2]
+        moment += free[b][2] * free[b][1]
+        b += 1
+    right = min(m - acc, free[b][2])
+    moment += right * free[b][1]
+    a, left = 0, zero
+    need = m * z
+    while moment < need:
+        if right == free[b][2]:
+            if b == last:
+                break
+            b, right = b + 1, zero
+            continue
+        to_left = free[a][2] - left
+        to_right = free[b][2] - right
+        slope = free[b][1] - free[a][1]
+        step = min(to_left, to_right)
+        if slope * step >= need - moment:
+            step = (need - moment) / slope
+            left, right, moment = left + step, right + step, need
+            break
+        moment += slope * step
+        if to_left <= to_right:
+            right = free[b][2] if to_left == to_right else right + step
+            a, left = a + 1, zero
+        else:
+            left, right = left + step, free[b][2]
+    j_a, y_a, r_a = free[a]
+    j_b, y_b, r_b = free[b]
+    if a == b:
+        taken = [(j_a, y_a, right - left)]
+        kept = [(j_a, y_a, r_a - (right - left))]
     else:
-        pmf = np.zeros((2, k_n, j_n))
-    for k, (_, w_k) in enumerate(mu1.atoms):
-        for jj, (gap_idx, _, v_j) in enumerate(gaps):
-            mass = w_k * v_j
-            if k + 1 > gap_idx:
-                pmf[1, k, jj] = mass
-            else:
-                pmf[0, k, jj] = mass
-    return FiniteStructure(pmf)
-
-
-def _coupling_certificate(mu1, mu2, tol):
-    """LP construction of the joint table for an interior feasible pair.
-
-    Variables ``q(k, j) = P(state = 1 | v1 = k, v2 = j)`` must average to the
-    requested posteriors along both axes; slack variables capped at ``tol``
-    absorb round-off in float inputs.  Infeasible within the caps -> None.
-    """
-    u = [Fraction(w) for w in mu1.weights]
-    x = [Fraction(loc) for loc in mu1.locations]
-    w = [Fraction(wt) for wt in mu2.weights]
-    z = [Fraction(loc) for loc in mu2.locations]
-    k_n, j_n = len(u), len(w)
-    n_q = k_n * j_n
-
-    if n_q <= EXACT_LP_BUDGET:
-        n_slack = 2 * (k_n + j_n)
-        n_vars = n_q + n_slack
-        cons = []
-        # 0..1 box on q.
-        for t in range(n_q):
-            row = [0] * n_vars
-            row[t] = 1
-            cons.append((row, "<=", 1))
-        slack = n_q
-        for k in range(k_n):
-            row = [0] * n_vars
-            for j in range(j_n):
-                row[k * j_n + j] = w[j]
-            row[slack] = 1
-            row[slack + 1] = -1
-            cons.append((row, EQ, x[k]))
-            slack += 2
-        for j in range(j_n):
-            row = [0] * n_vars
-            for k in range(k_n):
-                row[k * j_n + j] = u[k]
-            row[slack] = 1
-            row[slack + 1] = -1
-            cons.append((row, EQ, z[j]))
-            slack += 2
-        cap = Fraction(tol) if tol > 0 else Fraction(0)
-        for t in range(n_q, n_vars):
-            row = [0] * n_vars
-            row[t] = 1
-            cons.append((row, "<=", cap))
-        objective = [0] * n_vars
-        for t in range(n_q, n_vars):
-            objective[t] = 1
-        res = solve_lp(objective, cons, maximize=False)
-        if not res.optimal:
-            return None
-        q = np.array(res.x[:n_q], dtype=object).reshape(k_n, j_n)
-    else:
-        from scipy.optimize import linprog
-        from scipy.sparse import coo_matrix
-
-        data, rows, cols, rhs = [], [], [], []
-        eq = 0
-        for k in range(k_n):
-            for j in range(j_n):
-                data.append(float(w[j]))
-                rows.append(eq)
-                cols.append(k * j_n + j)
-            rhs.append(float(x[k]))
-            eq += 1
-        for j in range(j_n):
-            for k in range(k_n):
-                data.append(float(u[k]))
-                rows.append(eq)
-                cols.append(k * j_n + j)
-            rhs.append(float(z[j]))
-            eq += 1
-        n_slack = 2 * eq
-        for t in range(eq):
-            data.extend([1.0, -1.0])
-            rows.extend([t, t])
-            cols.extend([n_q + 2 * t, n_q + 2 * t + 1])
-        a_eq = coo_matrix((data, (rows, cols)), shape=(eq, n_q + n_slack))
-        objective = np.concatenate([np.zeros(n_q), np.ones(n_slack)])
-        bounds = [(0.0, 1.0)] * n_q + [(0.0, max(float(tol), 0.0))] * n_slack
-        res = linprog(
-            c=objective, A_eq=a_eq.tocsr(), b_eq=np.array(rhs),
-            bounds=bounds, method="highs",
-        )
-        if not res.success:
-            return None
-        q = np.clip(res.x[:n_q].reshape(k_n, j_n), 0.0, 1.0)
-
-    exact = q.dtype == object
-    pmf = (
-        np.full((2, k_n, j_n), Fraction(0), dtype=object)
-        if exact else np.zeros((2, k_n, j_n))
-    )
-    for k in range(k_n):
-        for j in range(j_n):
-            mass = u[k] * w[j] if exact else float(u[k]) * float(w[j])
-            q_kj = q[k, j] if exact else float(q[k, j])
-            pmf[1, k, j] = mass * q_kj
-            pmf[0, k, j] = mass * (1 - q_kj)
-    return FiniteStructure(pmf)
+        taken = [(j_a, y_a, r_a - left), *free[a + 1:b], (j_b, y_b, right)]
+        kept = [(j_a, y_a, left), (j_b, y_b, r_b - right)]
+    taken = [t for t in taken if t[2] > 0]
+    return taken, free[:a] + [e for e in kept if e[2] > 0] + free[b + 1:]
 
 
 def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
@@ -202,16 +110,70 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
 
     Returns a :class:`FiniteStructure` whose two posterior distributions
     equal ``(mu1, mu2)`` within ``tol``, or None when the pair is not
-    feasible.  Frontier pairs (``mu2`` equal to the conjugate of ``mu1``)
-    get the exact staircase table; interior pairs go through the coupling
-    LP, exactly in rational arithmetic up to 600 table cells and in
-    floating point beyond.
+    feasible.  Agent 1's values index the atoms of ``mu1`` and agent 2's
+    the atoms of ``mu2``.
+
+    The table is the paper's construction.  In the staircase structure of
+    ``(mu1, conjugate(mu1))`` agent 2 observes a support gap of ``mu1`` and
+    the state is 1 exactly when agent 1's atom lies above that gap.  Agent
+    2's gap is then garbled into an atom of ``mu2``: the atoms of ``mu2``
+    are swept in ascending order, and each takes its left-curtain shadow
+    from the conjugate mass still free (Beiglboeck & Juillet 2016).  The
+    garbling is independent of the state and of agent 1, so privacy holds
+    exactly.  Exact inputs give an exact table at every size; when either
+    input holds floats, the table holds floats.  On pairs that are
+    feasible only within ``tol``, any first-moment mismatch between the
+    free conjugate mass and the atoms still to place is spread evenly over
+    those atoms, and a pair whose columns still miss ``mu2`` by more than
+    ``tol`` gets None.
     """
+    for name, mu in (("mu1", mu1), ("mu2", mu2)):
+        if not 0 < mean(mu) < 1:
+            raise ValidationError(
+                f"field '{name}': a certificate needs a common mean in (0, 1), "
+                f"got {mean(mu)}"
+            )
     if not is_feasible_pair(mu1, mu2, tol):
         return None
-    if wasserstein1(mu2, conjugate(mu1)) <= tol:
-        return _staircase_certificate(mu1)
-    return _coupling_certificate(mu1, mu2, tol)
+    exact = mu1.exact and mu2.exact
+    num = (lambda v: v) if exact else float
+    u = np.array([num(w) for w in mu1.weights], dtype=object if exact else float)
+    indices, atoms = support_gaps(mu1)
+    gaps = [(j, num(y), num(v)) for j, (y, v) in zip(indices, atoms)][::-1]
+    targets = [(num(z), num(m)) for z, m in mu2.atoms]
+    # First moment the free mass holds beyond what the targets still ask
+    # for; it is spread evenly over those targets' windows.
+    excess = sum(v * y for _, y, v in gaps) - sum(m * z for z, m in targets)
+    todo = sum(m for _, m in targets)
+
+    k_n, j_n = len(u), len(targets)
+    pmf = np.full((2, k_n, j_n), u[0] * 0, dtype=u.dtype)
+    free = gaps
+    for t, (z, m) in enumerate(targets):
+        if t < j_n - 1:
+            window, free = _shadow(free, m, z + excess / todo)
+        else:
+            window = free
+        # Summed in gap order, the running shares below never pass total.
+        window.sort()
+        total = sum(mass for _, _, mass in window)
+        moment = sum(mass * y for _, y, mass in window)
+        if abs(total - m) > tol or abs(moment - total * z) > tol * total:
+            return None
+        excess -= moment - m * z
+        todo -= m
+        # Agent 1's atom a is above gap j iff j <= a, so the state-1 share
+        # of column t steps up by each window mass at its gap index.
+        share, row = total * 0, 0
+        for j, _, mass in window + [(k_n, None, 0)]:
+            if j > row:
+                if share:
+                    pmf[1, row:j, t] = u[row:j] * share
+                if total - share:
+                    pmf[0, row:j, t] = u[row:j] * (total - share)
+                row = j
+            share += mass
+    return FiniteStructure(pmf)
 
 
 # ---------------------------------------------------------------------------

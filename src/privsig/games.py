@@ -23,6 +23,9 @@ from ._num import as_fraction
 from .errors import ValidationError
 from .lp import EQ, GEQ, solve_lp
 
+#: A probability vector may miss total mass 1 by this much (float round-off).
+PROBABILITY_TOL = 1e-9
+
 
 def _table(rows, arity=2):
     out = tuple(tuple(as_fraction(v) for v in row) for row in rows)
@@ -31,6 +34,18 @@ def _table(rows, arity=2):
         if len(widths) != 1:
             raise ValidationError("payoff table rows have mixed lengths")
     return out
+
+
+def _probability_vector(values, name):
+    """Exact probability vector; a total within PROBABILITY_TOL of 1 is divided out."""
+    try:
+        vec = tuple(as_fraction(v) for v in values)
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"field '{name}': {exc}") from None
+    total = sum(vec)
+    if not vec or any(v < 0 for v in vec) or abs(total - 1) > PROBABILITY_TOL:
+        raise ValidationError(f"field '{name}': expected nonnegative entries summing to 1")
+    return tuple(v / total for v in vec)
 
 
 def solve_zero_sum(u):

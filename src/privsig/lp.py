@@ -2,9 +2,9 @@
 
 A dense two-phase simplex with Bland's anti-cycling rule, run entirely in
 :class:`fractions.Fraction` arithmetic.  Intended for the small rational
-programs in this package (designer problems, zero-sum games, belief
-couplings), where exact optima such as 8/9 matter; grid-scale programs go
-through scipy's HiGHS instead.
+programs in this package (designer problems, zero-sum games), where exact
+optima such as 10/9 matter; grid-scale programs go through scipy's HiGHS
+instead.
 
 All variables are nonnegative.  Free variables must be encoded by the caller
 as differences of two nonnegative ones.

@@ -143,11 +143,14 @@ class FiniteStructure:
         if arr.ndim < 2:
             raise ValidationError("pmf needs a state axis and at least one signal axis")
         flat = arr.ravel()
-        if any(v < 0 for v in flat.tolist()):
-            raise ValidationError("pmf entries must be nonnegative")
+        # NaN fails every comparison; +inf passes this one but not the sum.
+        if not all(v >= 0 for v in flat.tolist()):
+            raise ValidationError("field 'pmf': entries must be finite and nonnegative")
         total = flat.sum()
         if abs(total - 1) > TABLE_TOL:
-            raise ValidationError(f"pmf sums to {total}, expected 1")
+            raise ValidationError(
+                f"field 'pmf': entries must be finite and sum to 1, got {total}"
+            )
         prior = arr.reshape(arr.shape[0], -1).sum(axis=1)
         if any(p <= 0 for p in prior.tolist()):
             raise ValidationError("every state needs positive prior probability")

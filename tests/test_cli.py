@@ -120,6 +120,25 @@ def test_feasible_with_certificate(write, capsys):
     assert doc["certificate"]["m"] == 2
 
 
+def test_feasible_certificate_on_degenerate_pair_exit_code(write, capsys):
+    path = write("p.json", {"atoms": [{"x": 0, "w": 1}]})
+    code, out, err = run_cli(
+        capsys, ["feasible", "--mu1", path, "--mu2", path, "--certificate"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "'mu1'" in err and "(0, 1)" in err
+    assert "Traceback" not in err
+
+
+def test_designer_infinite_prior_exit_code(write, capsys):
+    doc = ('{"u": [[0, 1], [1, 0]], "u_d": {"0": [[1, 0], [0, 1]]}, '
+           '"prior": [Infinity]}')
+    code, _, err = run_cli(capsys, ["designer", "--in", write("p.json", doc)])
+    assert code == 2
+    assert "'prior'" in err and "Traceback" not in err
+
+
 def test_welfare(write, capsys):
     path = write("w.json", {"u1": [[1, -1], [-1, 1]],
                             "u2": [[1, -1], [-1, 1]], "prior": 0.5})

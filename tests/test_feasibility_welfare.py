@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from privsig import (
     AtomicDist,
@@ -16,6 +17,7 @@ from privsig import (
     is_pareto_optimal_2x2,
     is_private_private,
     maximize_welfare,
+    mean,
     point_mass,
     posterior_dist,
     uniform_grid,
@@ -111,6 +113,93 @@ class TestCertificate:
             assert is_private_private(cert, 1e-9)
             assert dists_close(posterior_dist(cert, 0), mu1, 1e-9)
             assert dists_close(posterior_dist(cert, 1), mu2, 1e-7)
+
+    def test_degenerate_mean_is_rejected_up_front(self):
+        with pytest.raises(ValidationError, match=r"'mu1'.*\(0, 1\)"):
+            feasibility_certificate(point_mass(0), point_mass(0))
+        with pytest.raises(ValidationError, match="'mu2'"):
+            feasibility_certificate(QUARTERS, point_mass(1))
+
+    def test_exact_pair_above_old_lp_budget_stays_exact(self):
+        # 13 x 13 = 169 cells; exact tables no longer stop at 150 cells.
+        g = uniform_grid(13, exact=True)
+        cert = feasibility_certificate(g, g)
+        assert cert.exact and cert.alphabet_sizes == (13, 13)
+        assert posterior_dist(cert, 0).atoms == g.atoms
+        assert posterior_dist(cert, 1).atoms == g.atoms
+        assert is_private_private(cert, 0)
+
+    def test_mixed_inputs_give_a_float_table(self):
+        float_quarters = AtomicDist([(0.25, 0.5), (0.75, 0.5)])
+        cert = feasibility_certificate(QUARTERS, float_quarters)
+        assert not cert.exact
+        assert dists_close(posterior_dist(cert, 1), float_quarters, 1e-12)
+
+
+@st.composite
+def exact_feasible_pairs(draw, max_atoms=16, max_targets=14):
+    """An exact pair (mu1, mu2): mu2 garbles conjugate(mu1) by a rational kernel."""
+    den = 64
+    k = draw(st.integers(1, max_atoms))
+    locs = sorted(draw(st.lists(st.integers(0, den), min_size=k, max_size=k, unique=True)))
+    raw = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    mu1 = AtomicDist([(F(x, den), F(w, sum(raw))) for x, w in zip(locs, raw)])
+    assume(0 < mean(mu1) < 1)
+    conj = conjugate(mu1)
+    j = draw(st.integers(1, max_targets))
+    mass, moment = [F(0)] * j, [F(0)] * j
+    for y, v in conj.atoms:
+        row = draw(st.lists(st.integers(0, 3), min_size=j, max_size=j))
+        if not any(row):
+            row[0] = 1
+        for t, r in enumerate(row):
+            mass[t] += v * F(r, sum(row))
+            moment[t] += v * F(r, sum(row)) * y
+    mu2 = AtomicDist([(mo / ma, ma) for ma, mo in zip(mass, moment) if ma > 0])
+    return mu1, mu2
+
+
+def _floats(mu):
+    return AtomicDist([(float(x), float(w)) for x, w in mu.atoms])
+
+
+class TestCertificateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(exact_feasible_pairs(), st.booleans())
+    def test_exact_pairs_are_reproduced_exactly(self, pair, swap):
+        mu1, mu2 = pair[::-1] if swap else pair
+        cert = feasibility_certificate(mu1, mu2)
+        assert cert.exact
+        assert posterior_dist(cert, 0).atoms == mu1.atoms
+        assert posterior_dist(cert, 1).atoms == mu2.atoms
+        assert is_private_private(cert, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_feasible_pairs(), st.booleans())
+    def test_float_copies_are_reproduced_within_tol(self, pair, swap):
+        mu1, mu2 = (_floats(mu) for mu in (pair[::-1] if swap else pair))
+        cert = feasibility_certificate(mu1, mu2)
+        assert cert is not None and not cert.exact
+        assert dists_close(posterior_dist(cert, 0), mu1, 1e-9)
+        assert dists_close(posterior_dist(cert, 1), mu2, 1e-9)
+        assert is_private_private(cert, 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_feasible_pairs(), st.floats(-5e-10, 5e-10))
+    def test_round_off_pairs_meet_the_float_contract(self, pair, eps):
+        # Nudging mu2 keeps the pair feasible only within tol, if at all:
+        # the answer is a table within tol, or None.
+        mu1 = _floats(pair[0])
+        mu2 = AtomicDist([
+            (min(max(float(x) + eps, 0.0), 1.0), float(w)) for x, w in pair[1].atoms
+        ])
+        cert = feasibility_certificate(mu1, mu2)
+        if not is_feasible_pair(mu1, mu2):
+            assert cert is None
+        elif cert is not None:
+            assert dists_close(posterior_dist(cert, 0), mu1, 1e-9)
+            assert dists_close(posterior_dist(cert, 1), mu2, 1e-9)
+            assert is_private_private(cert, 1e-9)
 
 
 class TestWelfare:

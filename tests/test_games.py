@@ -165,6 +165,33 @@ class TestDesigner:
         kernel, payoff = designer_optimum(problem)
         assert payoff == F(1, 2)
 
+    def test_prior_round_off_is_renormalized_exactly(self):
+        problem = rock_paper_scissors_problem()
+        p = DesignerProblem(
+            game=problem.game,
+            designer_payoffs=problem.designer_payoffs,
+            prior=(0.5, 0.5 + 5e-10),
+        )
+        assert sum(p.prior) == 1
+        assert all(isinstance(v, F) for v in p.prior)
+
+    @pytest.mark.parametrize("prior", [
+        (F(3, 2), F(-1, 2)),
+        (0.5, 0.49),
+        (),
+        (float("inf"), 0),
+        ("a", "b"),
+        1,
+    ])
+    def test_bad_prior_names_the_field(self, prior):
+        problem = rock_paper_scissors_problem()
+        with pytest.raises(ValidationError, match="'prior'"):
+            DesignerProblem(
+                game=problem.game,
+                designer_payoffs=problem.designer_payoffs,
+                prior=prior,
+            )
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             DesignerProblem(

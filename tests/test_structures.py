@@ -50,6 +50,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FiniteStructure(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="'pmf'.*finite"):
+            FiniteStructure(np.array([[0.5, bad], [0.25, 0.25]]))
+        with pytest.raises(ValidationError, match="'pmf'.*finite"):
+            FiniteStructure(np.array([[F(1, 2), bad], [F(1, 4), F(1, 4)]], dtype=object))
+
     def test_immutable(self):
         s = symmetric_binary_signal(F(3, 4))
         with pytest.raises(ValueError):
