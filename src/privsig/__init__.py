@@ -80,7 +80,6 @@ from .structures import (
     rasterize,
     reconstruct_secret,
     region_area_in_window,
-    simplex_dists_close,
     split_secret,
     structure_from_grid,
 )
@@ -105,7 +104,7 @@ __all__ = [
     "PrivsigError", "ValidationError", "PrivacyError", "ResourceBudgetError",
     "cdf_eval", "quantile", "conjugate", "mean", "step_cdf", "point_mass",
     "uniform_grid", "is_mpc", "blackwell_dominates", "wasserstein1",
-    "dists_close", "simplex_dists_close",
+    "dists_close",
     "posterior_dist", "joint_posterior_dist", "is_private_private",
     "is_perfect", "equivalent", "direct_revelation", "garble",
     "split_secret", "reconstruct_secret",

@@ -4,6 +4,8 @@ Quantities in this package are plain Python numbers: ``float`` for the
 approximate path and :class:`fractions.Fraction` for the exact path.  All
 algorithms are written polymorphically, so a structure built from Fractions
 stays exact end to end.
+
+Every float tolerance of the package is defined once, in the table below.
 """
 
 from __future__ import annotations
@@ -11,7 +13,42 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ValidationError
+
+# ---------------------------------------------------------------------------
+# Tolerances
+# ---------------------------------------------------------------------------
+
+#: Default of order and equality tests: integrated CDFs (mean-preserving
+#: contraction, Blackwell order, feasibility), closeness of distributions,
+#: independence of signals and Blackwell equivalence of structures.
+ORDER_TOL = 1e-9
+#: Belief locations on [0, 1] closer than this are one atom of an AtomicDist.
+MERGE_TOL = 1e-12
+#: Atom weights at or below this are dropped when a distribution is built.
+WEIGHT_DROP_TOL = 1e-15
+#: Posterior vectors within this in max norm are one belief atom; see
+#: notes/decisions.md, "Posterior clustering".
+POSTERIOR_MERGE_TOL = 1e-10
+#: Round-off allowed in a probability table or weight vector: its total may
+#: miss 1, and an entry may fall below 0, by this much.
+TABLE_TOL = 1e-12
+#: A probability vector (a posterior, a prior, a kernel row, a cell vector)
+#: may miss total mass 1 by this much.
+PROBABILITY_TOL = 1e-9
+#: Information-bound slack below this is a violation, not round-off.
+SLACK_TOL = -1e-9
+#: LP optima within this of the indicator value count as equal.
+LP_TOL = 1e-7
+
+
+def _zeros(shape, exact):
+    """A table of zeros: Fraction objects when ``exact``, floats otherwise."""
+    if exact:
+        return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape)
 
 
 def as_fraction(value) -> Fraction:

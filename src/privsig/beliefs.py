@@ -21,15 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import is_exact
+from ._num import MERGE_TOL, ORDER_TOL, TABLE_TOL, WEIGHT_DROP_TOL, is_exact
 from .errors import ValidationError
-
-#: Atoms closer than this are merged when a distribution is constructed.
-MERGE_TOL = 1e-12
-#: Weights at or below this are dropped (and the rest renormalized).
-WEIGHT_DROP_TOL = 1e-15
-#: Default absolute tolerance for order and equality tests on CDF integrals.
-ORDER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,9 +33,12 @@ class AtomicDist:
     ----------
     atoms : sequence of (location, weight) pairs
         Locations must lie in [0, 1]; weights must be positive and sum to 1
-        within ``1e-12``.  Atoms closer than ``1e-12`` are merged (weighted
-        mean location), weights below ``1e-15`` are dropped and the rest
-        renormalized.  The stored tuple is sorted by location.
+        within ``TABLE_TOL``.  Weights at or below ``WEIGHT_DROP_TOL`` are
+        dropped and the rest renormalized.  An atom less than ``MERGE_TOL``
+        above the first atom of the current cluster joins it, and each
+        cluster becomes one atom at its weighted mean location
+        (notes/decisions.md, "Posterior clustering").  The stored tuple is
+        sorted by location.
     """
 
     atoms: tuple
@@ -62,16 +58,20 @@ class AtomicDist:
         dropped_mass = len(kept) < len(pairs)
         kept.sort(key=lambda p: p[0])
 
-        merged = []
-        for x, w in kept:
-            if merged and x - merged[-1][0] < MERGE_TOL:
-                x0, w0 = merged[-1]
-                merged[-1] = ((x0 * w0 + x * w) / (w0 + w), w0 + w)
-            else:
-                merged.append((x, w))
+        # A cluster starts at each atom MERGE_TOL or more above the start
+        # (the anchor) of the cluster before it.
+        starts, anchor = [0], kept[0][0]
+        for i, (x, _) in enumerate(kept):
+            if x - anchor >= MERGE_TOL:
+                starts.append(i)
+                anchor = x
+        merged = kept
+        if len(starts) < len(kept):
+            ends = [*starts[1:], len(kept)]
+            merged = [_weighted_mean(kept[a:b]) for a, b in zip(starts, ends)]
 
         total = sum(w for _, w in merged)
-        if abs(total - 1) > 1e-12:
+        if abs(total - 1) > TABLE_TOL:
             raise ValidationError(f"atom weights sum to {total}, expected 1")
         # Renormalize only to compensate dropped mass; leaving sub-1e-12
         # slack alone keeps construction idempotent on the float path.
@@ -97,6 +97,13 @@ class AtomicDist:
         return f"AtomicDist([{inner}])"
 
 
+def _weighted_mean(atoms):
+    if len(atoms) == 1:
+        return atoms[0]
+    total = sum(w for _, w in atoms)
+    return sum(x * w for x, w in atoms) / total, total
+
+
 @dataclass(frozen=True)
 class StepCDF:
     """Right-continuous step function: ``(x, F(x))`` at its jump points.
@@ -117,7 +124,7 @@ class StepCDF:
             if v < last_v:
                 raise ValidationError("CDF values must be nondecreasing")
             last_v = v
-        if pts[-1][1] != 1 and abs(pts[-1][1] - 1) > 1e-12:
+        if pts[-1][1] != 1 and abs(pts[-1][1] - 1) > TABLE_TOL:
             raise ValidationError("CDF must reach 1 at its top breakpoint")
         object.__setattr__(self, "breakpoints", pts)
 
@@ -295,21 +302,25 @@ def wasserstein1(a: AtomicDist, b: AtomicDist):
     return total
 
 
-def dists_close(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
+def dists_close(a, b, tol=ORDER_TOL) -> bool:
     """Atom-wise equality within ``tol`` (locations and weights).
 
-    Atoms of the two distributions are clustered together whenever
-    consecutive locations in the merged list are within ``tol``; the per-
-    cluster weights must then agree within ``tol``.  Robust to atom splits
-    caused by round-off.
+    Takes two :class:`AtomicDist` or two ``SimplexDist``, whose posterior
+    vectors are compared in max norm; distributions of different dimensions
+    are never close.  Atoms of the two distributions are clustered together
+    whenever consecutive locations in the merged sorted list are within
+    ``tol``; the per-cluster weights must then agree within ``tol``.
+    Robust to atom splits caused by round-off.
     """
     events = sorted(
-        [(x, w, 0) for x, w in a.atoms] + [(x, w, 1) for x, w in b.atoms]
+        [(_vec(x), w, 0) for x, w in a.atoms] + [(_vec(x), w, 1) for x, w in b.atoms]
     )
+    if len({len(x) for x, _, _ in events}) > 1:
+        return False
     wa = wb = 0
     prev_x = None
     for x, w, side in events:
-        if prev_x is not None and x - prev_x > tol:
+        if prev_x is not None and max(abs(p - q) for p, q in zip(x, prev_x)) > tol:
             if abs(wa - wb) > tol:
                 return False
             wa = wb = 0
@@ -319,3 +330,7 @@ def dists_close(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
             wb = wb + w
         prev_x = x
     return abs(wa - wb) <= tol
+
+
+def _vec(x):
+    return x if isinstance(x, tuple) else (x,)

@@ -15,17 +15,12 @@ falls in, giving at most one more value than ``s1`` has distinct posteriors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
+from ._num import _zeros
 from .beliefs import AtomicDist, conjugate
 from .errors import ValidationError
-from .structures import (
-    POSTERIOR_MERGE_TOL,
-    FiniteStructure,
-    posterior_dist,
-)
+from .structures import FiniteStructure, _posteriors, posterior_dist
 
 
 def optimal_disclosure_dist(mu1: AtomicDist) -> AtomicDist:
@@ -80,53 +75,27 @@ def finite_disclosure(s: FiniteStructure) -> FiniteStructure:
     has at most one more value than ``s1`` has distinct posteriors.
 
     Interval convention: pieces are left-closed right-open in increasing
-    order of the cut values ``1 - p``, the rightmost closed; posteriors
-    within 1e-10 are treated as a single value when cutting.  With a
-    Fraction table the output probabilities are exact.
+    order of the cut values ``1 - p``, the rightmost closed.  The posteriors
+    ``p`` are the atoms of :func:`posterior_dist`, so values it merges share
+    one cut (notes/decisions.md, "Posterior clustering").  With a Fraction
+    table the output probabilities are exact.
     """
     if s.m != 2 or s.n != 1:
         raise ValidationError("finite disclosure needs m = 2 states and one agent")
-    exact = s.exact
-    joint = s.pmf  # (2, A)
-    n_vals = joint.shape[1]
-    probs = [joint[0, v] + joint[1, v] for v in range(n_vals)]
-
-    # Distinct posteriors (merged within tolerance) and their cut values.
-    reps = []
-    rep_of = {}
-    for v in range(n_vals):
-        if probs[v] <= 0:
-            continue
-        p_v = joint[1, v] / probs[v]
-        match = next(
-            (r for r in reps if abs(p_v - r) <= POSTERIOR_MERGE_TOL), None
-        )
-        if match is None:
-            reps.append(p_v)
-            rep_of[v] = p_v
-        else:
-            rep_of[v] = match
-
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    edges = sorted({zero, one} | {one - p for p in reps})
+    atoms, value_map = _posteriors(s.pmf)
+    cuts = [1 - vec[1] for vec, _ in atoms]
+    edges = sorted({0, 1, *cuts})
     pieces = list(zip(edges, edges[1:]))  # all positive length by dedup
 
-    shape = (2, n_vals, len(pieces))
-    if exact:
-        pmf = np.full(shape, Fraction(0), dtype=object)
-    else:
-        pmf = np.zeros(shape)
-    for v in range(n_vals):
-        if probs[v] <= 0:
-            continue
-        cut = one - rep_of[v]
-        for t, (lo, hi) in enumerate(pieces):
-            # Each piece lies entirely on one side of this signal's cut.
-            if lo >= cut:
-                pmf[1, v, t] = probs[v] * (hi - lo)
-            else:
-                pmf[0, v, t] = probs[v] * (hi - lo)
+    # Each piece lies entirely on one side of each value's cut: above it
+    # the state is 1.  Zero-probability values carry zero mass either way.
+    probs = s.pmf.sum(axis=0)
+    lengths = np.array([hi - lo for lo, hi in pieces], dtype=probs.dtype)
+    mass = np.multiply.outer(probs, lengths)
+    above = np.array([[lo >= cut for lo, _ in pieces] for cut in cuts])[value_map]
+    pmf = _zeros((2, *mass.shape), s.exact)
+    pmf[1][above] = mass[above]
+    pmf[0][~above] = mass[~above]
     return FiniteStructure(pmf)
 
 

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import as_fraction
+from ._num import PROBABILITY_TOL, as_fraction
 from .errors import ValidationError
 from .lp import EQ, GEQ, solve_lp
-
-#: A probability vector may miss total mass 1 by this much (float round-off).
-PROBABILITY_TOL = 1e-9
 
 
 def _table(rows, arity=2):
@@ -101,7 +98,7 @@ class DesignerProblem:
         States with zero prior are allowed; their recommendation kernel is
         unconstrained and set to the equilibrium itself.  Entries are
         coerced to exact rationals; a float vector that misses total mass 1
-        by round-off (within 1e-9) is renormalized exactly.
+        by round-off (within ``PROBABILITY_TOL``) is renormalized exactly.
     equilibrium : optional (strategy1, strategy2)
         Supplied product equilibrium; computed from the game when omitted.
         Uniqueness (which makes the marginal constraint binding) is assumed,

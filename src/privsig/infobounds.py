@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._num import PROBABILITY_TOL, SLACK_TOL
 from .beliefs import AtomicDist
 from .errors import ValidationError
 from .structures import (
@@ -24,16 +25,13 @@ from .structures import (
     require_private_private,
 )
 
-#: Slack below this is treated as a genuine violation, not round-off.
-SLACK_TOL = -1e-9
-
 
 def entropy(p) -> float:
     """Shannon entropy of a probability vector, in bits (0 log 0 = 0)."""
     vec = [float(v) for v in p]
     if any(v < 0 for v in vec):
         raise ValidationError("probabilities must be nonnegative")
-    if abs(sum(vec) - 1) > 1e-9:
+    if abs(sum(vec) - 1) > PROBABILITY_TOL:
         raise ValidationError(f"probabilities sum to {sum(vec)}, expected 1")
     return -sum(v * math.log2(v) for v in vec if v > 0)
 
@@ -86,8 +84,8 @@ class InfoReport:
     """Result of one informativeness bound check.
 
     ``slack`` is the bound minus the sum of per-agent quantities (or, for
-    superadditivity, joint minus sum); nonnegative up to 1e-9 of round-off
-    whenever the precondition held.
+    superadditivity, joint minus sum); nonnegative up to ``-SLACK_TOL`` of
+    round-off whenever the precondition held.
     """
 
     inequality: str           # "superadditivity" | "binary" | "quadratic"

@@ -20,14 +20,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._num import as_fraction
+from ._num import (
+    ORDER_TOL,
+    POSTERIOR_MERGE_TOL,
+    PROBABILITY_TOL,
+    TABLE_TOL,
+    WEIGHT_DROP_TOL,
+    _zeros,
+    as_fraction,
+)
 from .beliefs import AtomicDist, dists_close
 from .errors import PrivacyError, ValidationError
-
-#: Signal values whose posteriors differ by at most this are one belief atom.
-POSTERIOR_MERGE_TOL = 1e-10
-#: Tolerance on probability-table normalization.
-TABLE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +42,10 @@ class SimplexDist:
     """Finite-support distribution of posterior vectors on the m-simplex.
 
     Atoms are ``(posterior_vector, weight)`` pairs, sorted lexicographically
-    by vector.  Vectors must lie on the simplex within 1e-9 and weights must
-    sum to 1 within 1e-12.
+    by vector.  Vectors must lie on the simplex within ``PROBABILITY_TOL``
+    and weights must sum to 1 within ``TABLE_TOL``.  Vectors within
+    ``POSTERIOR_MERGE_TOL`` are clustered by the rule of notes/decisions.md,
+    "Posterior clustering".
     """
 
     atoms: tuple
@@ -53,24 +58,14 @@ class SimplexDist:
         for vec, w in pairs:
             if len(vec) != m:
                 raise ValidationError("posterior vectors have mixed lengths")
-            if any(c < -1e-12 for c in vec):
+            if any(c < -TABLE_TOL for c in vec):
                 raise ValidationError(f"posterior {vec} has a negative entry")
-            if abs(sum(vec) - 1) > 1e-9:
+            if abs(sum(vec) - 1) > PROBABILITY_TOL:
                 raise ValidationError(f"posterior {vec} is off the simplex")
             if w < 0:
                 raise ValidationError(f"negative weight {w}")
-        pairs = [(v, w) for v, w in pairs if w > 1e-15]
-        pairs.sort(key=lambda p: p[0])
-        merged = []
-        for vec, w in pairs:
-            if merged and _vec_dist(vec, merged[-1][0]) <= POSTERIOR_MERGE_TOL:
-                v0, w0 = merged[-1]
-                merged[-1] = (
-                    tuple((a * w0 + b * w) / (w0 + w) for a, b in zip(v0, vec)),
-                    w0 + w,
-                )
-            else:
-                merged.append((vec, w))
+        pairs = [(v, w) for v, w in pairs if w > WEIGHT_DROP_TOL]
+        merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
         total = sum(w for _, w in merged)
         if abs(total - 1) > TABLE_TOL:
             raise ValidationError(f"weights sum to {total}, expected 1")
@@ -92,30 +87,58 @@ class SimplexDist:
         return tuple(out)
 
 
-def _vec_dist(a, b):
-    return max(abs(x - y) for x, y in zip(a, b))
+def _cluster(vecs, weights, tol=POSTERIOR_MERGE_TOL):
+    """Cluster posterior vectors by the anchor rule.
+
+    Vectors are visited in lexicographic order.  Each joins the earliest
+    cluster whose first member (its anchor) is within ``tol`` in max norm,
+    else it anchors a new cluster; only anchors whose first coordinate is
+    within ``tol`` of its own can qualify.  The result depends neither on
+    the order of the inputs nor on their weights (notes/decisions.md,
+    "Posterior clustering").
+
+    Returns ``(atoms, label)``: the ``(weighted mean vector, total weight)``
+    of each cluster, sorted by vector, and the atom index of each input.
+    """
+    if vecs and isinstance(vecs[0][0], Fraction):
+        # Comparing a Fraction with a float converts the float each time.
+        tol = Fraction(tol)
+    anchors, members = [], []
+    for i in sorted(range(len(vecs)), key=vecs.__getitem__):
+        x = vecs[i]
+        lo = x[0] - tol
+        home = k = len(anchors)
+        while k and anchors[k - 1][0] >= lo:
+            k -= 1
+            if all(abs(a - b) <= tol for a, b in zip(anchors[k], x)):
+                home = k
+        if home == len(anchors):
+            anchors.append(x)
+            members.append([])
+        members[home].append(i)
+    atoms = [_mean(vecs, weights, group) for group in members]
+    # Anchors come in lexicographic order; a merged mean may not.
+    if len(atoms) < len(vecs):
+        order = sorted(range(len(atoms)), key=lambda k: atoms[k][0])
+        atoms = [atoms[k] for k in order]
+        members = [members[k] for k in order]
+    label = [0] * len(vecs)
+    for rank, group in enumerate(members):
+        for i in group:
+            label[i] = rank
+    return atoms, label
 
 
-def simplex_dists_close(a: SimplexDist, b: SimplexDist, tol=1e-9) -> bool:
-    """Atom-wise equality of two simplex distributions within ``tol``."""
-    if a.m != b.m:
-        return False
-    events = sorted(
-        [(v, w, 0) for v, w in a.atoms] + [(v, w, 1) for v, w in b.atoms]
+def _mean(vecs, weights, group):
+    """(Weighted mean vector, total weight) of the vectors in ``group``."""
+    if len(group) == 1:
+        return vecs[group[0]], weights[group[0]]
+    total = sum(weights[i] for i in group)
+    mean = tuple(
+        sum(vecs[i][c] * weights[i] for i in group) / total
+        for c in range(len(vecs[group[0]]))
     )
-    wa = wb = 0
-    prev = None
-    for vec, w, side in events:
-        if prev is not None and _vec_dist(vec, prev) > tol:
-            if abs(wa - wb) > tol:
-                return False
-            wa = wb = 0
-        if side == 0:
-            wa = wa + w
-        else:
-            wb = wb + w
-        prev = vec
-    return abs(wa - wb) <= tol
+    return mean, total
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +183,7 @@ class FiniteStructure:
     @classmethod
     def from_entries(cls, m, alphabet_sizes, entries, exact=False):
         """Build from a sparse list of ``(state, signals, p)`` entries."""
-        shape = (m, *alphabet_sizes)
-        if exact:
-            arr = np.full(shape, Fraction(0), dtype=object)
-        else:
-            arr = np.zeros(shape)
+        arr = _zeros((m, *alphabet_sizes), exact)
         for state, signals, p in entries:
             signals = tuple(signals)
             if not (0 <= state < m) or len(signals) != len(alphabet_sizes):
@@ -200,64 +219,64 @@ class FiniteStructure:
         return tuple(self.pmf.sum(axis=axes).tolist())
 
 
-def _cluster_posteriors(pairs, tol=POSTERIOR_MERGE_TOL):
-    """Merge (vector, weight) pairs whose vectors are within ``tol``."""
-    pairs = sorted(pairs, key=lambda p: p[0])
-    merged = []
-    for vec, w in pairs:
-        if merged and _vec_dist(vec, merged[-1][0]) <= tol:
-            v0, w0 = merged[-1]
-            merged[-1] = (
-                tuple((a * w0 + b * w) / (w0 + w) for a, b in zip(v0, vec)),
-                w0 + w,
-            )
-        else:
-            merged.append((vec, w))
-    return merged
+def _posteriors(joint):
+    """Clustered Bayes posteriors of a ``(states, values)`` joint table.
+
+    The one place where signal values are grouped by the posterior they
+    induce.  Exact-duplicate posterior vectors are grouped first, so a
+    Fraction table takes one weighted mean per distinct posterior; the
+    groups are then clustered by :func:`_cluster`.  Returns ``(atoms,
+    value_map)``: the ``(posterior vector, weight)`` atoms sorted by vector,
+    and an integer array giving each value's atom index, or -1 for values
+    of probability zero.
+    """
+    probs = joint.sum(axis=0)
+    live = np.flatnonzero(probs > 0)
+    posts = (joint[:, live] / probs[live]).T.tolist()
+    groups = {}  # posterior vector -> [group index, total weight]
+    group_of = []
+    for vec, w in zip(posts, probs[live].tolist()):
+        g = groups.setdefault(tuple(vec), [len(groups), 0])
+        g[1] = g[1] + w
+        group_of.append(g[0])
+    atoms, label = _cluster(list(groups), [w for _, w in groups.values()])
+    value_map = np.full(joint.shape[1], -1)
+    value_map[live] = np.asarray(label, dtype=int)[group_of]
+    return atoms, value_map
+
+
+def _agent_joint(s: FiniteStructure, agent: int):
+    """The ``(states, values)`` joint table of one agent's signal."""
+    if not (0 <= agent < s.n):
+        raise ValidationError(f"agent index {agent} out of range")
+    axes = tuple(ax for ax in range(1, s.pmf.ndim) if ax != 1 + agent)
+    return s.pmf.sum(axis=axes) if axes else s.pmf
+
+
+def _belief_dist(atoms):
+    if len(atoms[0][0]) == 2:
+        return AtomicDist([(vec[1], w) for vec, w in atoms])
+    return SimplexDist(atoms)
 
 
 def posterior_dist(s: FiniteStructure, agent: int):
     """Distribution of the Bayes posterior induced by one agent's signal.
 
     Signal values with zero probability are skipped; values whose posteriors
-    agree within 1e-10 are aggregated into a single belief atom.  Returns an
+    agree within ``POSTERIOR_MERGE_TOL`` are aggregated into a single belief
+    atom (notes/decisions.md, "Posterior clustering").  Returns an
     :class:`~privsig.beliefs.AtomicDist` over P(state = 1 | signal) when the
     state is binary, and a :class:`SimplexDist` otherwise.
     """
-    if not (0 <= agent < s.n):
-        raise ValidationError(f"agent index {agent} out of range")
-    axes = tuple(ax for ax in range(1, s.pmf.ndim) if ax != 1 + agent)
-    joint = s.pmf.sum(axis=axes) if axes else s.pmf  # (m, alphabet)
-    pairs = []
-    for v in range(joint.shape[1]):
-        col = joint[:, v]
-        p_v = col.sum()
-        if p_v <= 0:
-            continue
-        pairs.append((tuple((c / p_v) for c in col.tolist()), p_v))
-    merged = _cluster_posteriors(pairs)
-    if s.m == 2:
-        return AtomicDist([(vec[1], w) for vec, w in merged])
-    return SimplexDist(merged)
+    return _belief_dist(_posteriors(_agent_joint(s, agent))[0])
 
 
 def joint_posterior_dist(s: FiniteStructure):
     """Posterior distribution when the whole signal profile is observed."""
-    flat = s.pmf.reshape(s.m, -1)
-    pairs = []
-    for v in range(flat.shape[1]):
-        col = flat[:, v]
-        p_v = col.sum()
-        if p_v <= 0:
-            continue
-        pairs.append((tuple((c / p_v) for c in col.tolist()), p_v))
-    merged = _cluster_posteriors(pairs)
-    if s.m == 2:
-        return AtomicDist([(vec[1], w) for vec, w in merged])
-    return SimplexDist(merged)
+    return _belief_dist(_posteriors(s.pmf.reshape(s.m, -1))[0])
 
 
-def is_private_private(s: FiniteStructure, tol=1e-9) -> bool:
+def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
     """True iff the signals are mutually independent random variables.
 
     Checks that the joint signal marginal (state summed out) factors as the
@@ -275,7 +294,7 @@ def is_private_private(s: FiniteStructure, tol=1e-9) -> bool:
     return tv <= tol
 
 
-def require_private_private(s: FiniteStructure, tol=1e-9):
+def require_private_private(s: FiniteStructure, tol=ORDER_TOL):
     if not is_private_private(s, tol):
         raise PrivacyError("signals are not mutually independent")
 
@@ -293,63 +312,33 @@ def is_perfect(s: FiniteStructure) -> bool:
     return bool((positive.sum(axis=0) <= 1).all())
 
 
-def equivalent(a: FiniteStructure, b: FiniteStructure, tol=1e-9) -> bool:
+def equivalent(a: FiniteStructure, b: FiniteStructure, tol=ORDER_TOL) -> bool:
     """Blackwell equivalence: identical per-agent posterior distributions."""
     if a.m != b.m or a.n != b.n:
         raise ValidationError("structures must share state and agent counts")
-    for agent in range(a.n):
-        da, db = posterior_dist(a, agent), posterior_dist(b, agent)
-        if a.m == 2:
-            if not dists_close(da, db, tol):
-                return False
-        else:
-            if not simplex_dists_close(da, db, tol):
-                return False
-    return True
+    return all(
+        dists_close(posterior_dist(a, agent), posterior_dist(b, agent), tol)
+        for agent in range(a.n)
+    )
 
 
 def direct_revelation(s: FiniteStructure) -> FiniteStructure:
     """Relabel every signal value by the posterior it induces.
 
-    Values inducing posteriors within 1e-10 of each other collapse to one
-    value (so alphabets can only shrink); zero-probability values are
-    dropped.  The result is equivalent to the input, and its k-th signal
-    value induces the k-th smallest posterior.
+    Values are grouped by the posterior clusters of :func:`posterior_dist`
+    (so alphabets can only shrink); zero-probability values are dropped.
+    The result is
+    equivalent to the input, and its k-th signal value induces the k-th
+    smallest posterior vector (notes/decisions.md, "Posterior clustering").
     """
-    maps = []
-    new_sizes = []
+    out = s.pmf
     for agent in range(s.n):
-        axes = tuple(ax for ax in range(1, s.pmf.ndim) if ax != 1 + agent)
-        joint = s.pmf.sum(axis=axes) if axes else s.pmf
-        reps = []  # representative posteriors, sorted
-        vmap = {}
-        posts = []
-        for v in range(joint.shape[1]):
-            col = joint[:, v]
-            p_v = col.sum()
-            if p_v <= 0:
-                continue
-            posts.append((tuple((c / p_v) for c in col.tolist()), v))
-        posts.sort(key=lambda p: p[0])
-        for vec, v in posts:
-            if reps and _vec_dist(vec, reps[-1]) <= POSTERIOR_MERGE_TOL:
-                vmap[v] = len(reps) - 1
-            else:
-                reps.append(vec)
-                vmap[v] = len(reps) - 1
-        maps.append(vmap)
-        new_sizes.append(len(reps))
-
-    if s.exact:
-        out = np.full((s.m, *new_sizes), Fraction(0), dtype=object)
-    else:
-        out = np.zeros((s.m, *new_sizes))
-    for idx, p in np.ndenumerate(s.pmf):
-        if p == 0:
-            continue
-        state, signals = idx[0], idx[1:]
-        new_idx = tuple(maps[i][v] for i, v in enumerate(signals))
-        out[(state, *new_idx)] += p
+        _, value_map = _posteriors(_agent_joint(s, agent))
+        order = np.argsort(value_map, kind="stable")
+        order = order[value_map[order] >= 0]
+        starts = np.flatnonzero(np.diff(value_map[order], prepend=-1))
+        grouped = np.take(out, order, axis=1 + agent)
+        out = np.add.reduceat(grouped, starts, axis=1 + agent)
     return FiniteStructure(out)
 
 
@@ -366,7 +355,7 @@ def garble(s: FiniteStructure, agent: int, kernel) -> FiniteStructure:
     if kern.ndim != 2 or kern.shape[0] != s.alphabet_sizes[agent]:
         raise ValidationError("kernel shape does not match the agent's alphabet")
     for row in kern.tolist():
-        if any(v < 0 for v in row) or abs(sum(row) - 1) > 1e-9:
+        if any(v < 0 for v in row) or abs(sum(row) - 1) > PROBABILITY_TOL:
             raise ValidationError("kernel rows must be probability vectors")
     moved = np.moveaxis(s.pmf, 1 + agent, -1)
     new = np.dot(moved, kern)
@@ -617,9 +606,9 @@ class FuzzyGrid:
             raise ValidationError("grid must have the same resolution on every axis")
         flat = arr.reshape(-1, arr.shape[-1])
         for row in flat.tolist():
-            if any(v < -1e-12 for v in row):
+            if any(v < -TABLE_TOL for v in row):
                 raise ValidationError("cell values must be nonnegative")
-            if abs(sum(row) - 1) > 1e-9:
+            if abs(sum(row) - 1) > PROBABILITY_TOL:
                 raise ValidationError("cell vectors must sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
@@ -701,26 +690,17 @@ def structure_from_grid(grid, exact=False) -> FiniteStructure:
     if labels is not None:
         occupied = sorted(set(labels.ravel().tolist()))
         m = len(occupied)
-        relabel = {lab: k for k, lab in enumerate(occupied)}
-        if exact:
-            pmf = np.full((m, *labels.shape), Fraction(0), dtype=object)
-            cell_p = Fraction(1, n_cells)
-        else:
-            pmf = np.zeros((m, *labels.shape))
-            cell_p = 1.0 / n_cells
-        for idx, lab in np.ndenumerate(labels):
-            pmf[(relabel[int(lab)], *idx)] = cell_p
+        pmf = _zeros((m, *labels.shape), exact)
+        cell_p = Fraction(1, n_cells) if exact else 1.0 / n_cells
+        for k, lab in enumerate(occupied):
+            pmf[k][labels == lab] = cell_p
         return FiniteStructure(pmf)
 
     m = vectors.shape[-1]
-    make_exact = exact or vectors.dtype == object
-    if make_exact:
-        pmf = np.empty((m, *vectors.shape[:-1]), dtype=object)
-        for idx in np.ndindex(*vectors.shape[:-1]):
-            for k in range(m):
-                pmf[(k, *idx)] = as_fraction(vectors[(*idx, k)]) / n_cells
-    else:
-        pmf = np.moveaxis(vectors, -1, 0) / n_cells
+    pmf = np.moveaxis(vectors, -1, 0)
+    if exact or vectors.dtype == object:
+        pmf = np.vectorize(as_fraction, otypes=[object])(pmf)
+    pmf = pmf / n_cells
     marg = pmf.reshape(m, -1).sum(axis=1)
     keep = [k for k in range(m) if marg[k] > 0]
     return FiniteStructure(pmf[keep])

@@ -16,12 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
+from ._num import LP_TOL
 from .beliefs import AtomicDist, ORDER_TOL, conjugate, mean, wasserstein1
 from .errors import ResourceBudgetError, ValidationError
 from .structures import FuzzyGrid, GridPartition, GridSet
 
-#: LP optima within this of the indicator value count as equal.
-LP_TOL = 1e-7
 #: Documented budget for the partition LP test.
 PARTITION_BUDGET = {"max_resolution": 32, "max_states": 4}
 #: Cell budget for brute-force enumeration.
@@ -319,7 +318,7 @@ def partition_uniqueness_grid(partition: GridPartition) -> bool:
     matching the partition's per-state axis projections must be the
     singleton containing the indicator.  A single LP maximizes the total
     mass off the partition's own labels; the partition is one of uniqueness
-    iff that maximum is zero (within 1e-7).
+    iff that maximum is zero (within ``LP_TOL``).
     """
     unique, _ = partition_uniqueness_witness(partition)
     return unique

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsig import (
     FiniteStructure,
@@ -13,6 +14,7 @@ from privsig import (
     direct_revelation,
     dists_close,
     equivalent,
+    finite_disclosure,
     garble,
     is_perfect,
     is_private_private,
@@ -28,7 +30,7 @@ from privsig.catalog import (
     symmetric_binary_signal,
     two_bit_structure,
 )
-from privsig.structures import structure_from_grid
+from privsig.structures import POSTERIOR_MERGE_TOL, structure_from_grid
 from conftest import random_private_structure, three_state_binary_signal
 
 
@@ -151,6 +153,11 @@ class TestEquivalence:
         )
         assert not equivalent(blocks, flat)
 
+    def test_binary_and_simplex_dists_never_close(self, blocks):
+        three = posterior_dist(three_state_binary_signal(), 0)
+        assert dists_close(three, three, 0)
+        assert not dists_close(posterior_dist(blocks, 0), three)
+
     def test_mismatched_shapes_error(self, blocks):
         with pytest.raises(ValidationError):
             equivalent(blocks, symmetric_binary_signal(F(3, 4)))
@@ -244,3 +251,103 @@ class TestJointPosterior:
 
         with pytest.raises(PrivacyError):
             require_private_private(both_observe_state())
+
+
+def binary_signal(posteriors, weights):
+    """One-agent float structure: value v has posterior and weight v."""
+    cols = np.array([[w * (1 - p) for p, w in zip(posteriors, weights)],
+                     [w * p for p, w in zip(posteriors, weights)]])
+    return FiniteStructure(cols / cols.sum())
+
+
+@st.composite
+def tables(draw):
+    """Small exact or float joint tables, m in {2, 3} and n <= 3.
+
+    Some signal values repeat another value's slice up to scale, so their
+    posteriors coincide exactly (Fractions) or up to round-off (floats).
+    """
+    m = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    cells = m * int(np.prod(sizes))
+    ints = np.array(draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)))
+    ints = ints.reshape(m, *sizes)
+    ints[(slice(None),) + (0,) * len(sizes)] += 1  # full-support prior
+    for axis in range(1, ints.ndim):
+        for _ in range(draw(st.integers(0, 2))):
+            src = draw(st.integers(0, ints.shape[axis] - 1))
+            copy = draw(st.integers(1, 3)) * np.take(ints, [src], axis=axis)
+            ints = np.concatenate([ints, copy], axis=axis)
+    total = int(ints.sum())
+    if draw(st.booleans()):
+        pmf = np.array([F(int(v), total) for v in ints.ravel()], dtype=object)
+        return FiniteStructure(pmf.reshape(ints.shape))
+    return FiniteStructure(ints / total)
+
+
+def same_dist(a, b, exact):
+    return a.atoms == b.atoms if exact else dists_close(a, b, 1e-12)
+
+
+def all_fractions(dist):
+    return all(
+        isinstance(c, F)
+        for x, w in dist.atoms
+        for c in (*(x if isinstance(x, tuple) else (x,)), w)
+    )
+
+
+class TestPosteriorClustering:
+    """One clustering rule behind posterior_dist, direct_revelation and
+    finite_disclosure (notes/decisions.md, "Posterior clustering")."""
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1), (1, 5, 1), (5, 1, 1)])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_chain_splits_the_same_way_everywhere(self, weights, reverse):
+        # The middle posterior is within tol of both ends, which are 1.2 tol
+        # apart: one cluster cannot hold all three, whatever the weights.
+        tol = POSTERIOR_MERGE_TOL
+        posteriors = [0.3, 0.3 + 0.6 * tol, 0.3 + 1.2 * tol]
+        weights = list(weights)
+        if reverse:
+            posteriors.reverse()
+            weights.reverse()
+        s = binary_signal(posteriors, weights)
+        assert len(posterior_dist(s, 0).atoms) == 2
+        assert direct_revelation(s).alphabet_sizes == (2,)
+        assert finite_disclosure(s).alphabet_sizes[1] == 3
+
+    def test_duplicates_merge_across_a_posterior_between_them(self):
+        # The first two columns share the posterior (1/3, 1/3, 1/3) up to
+        # one ulp; the third sorts between them lexicographically.
+        c = np.array([1, 1, 1]) / 100
+        cols = np.stack([c, c * 2 / 7, np.array([1 / 3, 0, 2 / 3]) * 0.03], axis=1)
+        s = FiniteStructure(cols / cols.sum())
+        assert len(posterior_dist(s, 0).atoms) == 2
+        assert direct_revelation(s).alphabet_sizes == (2,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tables(), st.data())
+    def test_kernel_properties(self, s, data):
+        exact = s.exact
+        revealed = direct_revelation(s)
+        assert revealed.exact == exact
+        for agent in range(s.n):
+            mu = posterior_dist(s, agent)
+            assert revealed.alphabet_sizes[agent] == len(mu.atoms)
+            assert same_dist(posterior_dist(revealed, agent), mu, exact)
+            if exact:
+                assert all_fractions(mu)
+
+        permuted = s.pmf
+        for axis in range(1, s.pmf.ndim):
+            order = data.draw(st.permutations(range(s.pmf.shape[axis])))
+            permuted = np.take(permuted, order, axis=axis)
+        joint = joint_posterior_dist(s)
+        assert same_dist(joint_posterior_dist(FiniteStructure(permuted)), joint, exact)
+
+        if s.m == 2:
+            s1 = FiniteStructure(s.pmf.sum(axis=tuple(range(2, s.pmf.ndim))))
+            disclosed = finite_disclosure(s1)
+            assert disclosed.exact == exact
+            assert disclosed.alphabet_sizes[1] <= len(posterior_dist(s1, 0).atoms) + 1
