@@ -51,6 +51,33 @@ def _zeros(shape, exact):
     return np.zeros(shape)
 
 
+def _table_sum(table, axis=None):
+    """``table.sum(axis)``, adding a table of Fractions on one denominator.
+
+    The numerators are scaled to the least common multiple of the
+    denominators, summed as Python ints and divided once per output entry.
+    That gives the same Fractions as adding entry by entry, without a gcd
+    per addition.  Any other table is summed by numpy unchanged.
+    """
+    if table.dtype != object or not table.size or set(map(type, table.flat)) != {Fraction}:
+        return table.sum(axis=axis)
+    scale = {v.denominator for v in table.flat}
+    den = math.lcm(*scale)
+    scale = {d: den // d for d in scale}
+    summed = range(table.ndim) if axis is None else np.atleast_1d(axis) % table.ndim
+    kept = [ax for ax in range(table.ndim) if ax not in summed]
+    # One row per output entry, holding the entries that add up to it.
+    rows = table.transpose([*kept, *summed]).reshape(-1, math.prod(
+        table.shape[ax] for ax in summed))
+    sums = [
+        Fraction(sum(v.numerator * scale[v.denominator] for v in row), den)
+        for row in rows
+    ]
+    if not kept:
+        return sums[0]
+    return np.array(sums, dtype=object).reshape([table.shape[ax] for ax in kept])
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 

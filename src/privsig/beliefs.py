@@ -6,6 +6,8 @@ module provides the cumulative distribution function, the quantile function
 ``F^{-1}(u) = min{y : F(y) >= u}``, the conjugate (the distribution whose CDF
 is the reflection of F around the anti-diagonal of the unit square), and the
 mean-preserving-contraction / Blackwell order tests built on integrated CDFs.
+Those tests and the earth-mover distance walk the two sorted atom lists once,
+so each costs O(k) for k atoms in all.
 
 Continuous distributions enter only through grid discretizations: the uniform
 distribution on [0, 1] is represented by ``R`` atoms at ``(k - 1/2)/R``, each
@@ -44,6 +46,21 @@ class AtomicDist:
     atoms: tuple
 
     def __init__(self, atoms):
+        self._set_atoms(atoms, merge=True)
+
+    @classmethod
+    def _of_clusters(cls, atoms):
+        """The distribution of atoms that are already clustered.
+
+        Validates, drops and renormalizes as the constructor does, but
+        merges no atoms: clustering the means of clusters again can merge
+        two of them (notes/decisions.md, "Posterior clustering").
+        """
+        dist = object.__new__(cls)
+        dist._set_atoms(atoms, merge=False)
+        return dist
+
+    def _set_atoms(self, atoms, merge):
         pairs = [(x, w) for x, w in atoms]
         if not pairs:
             raise ValidationError("a distribution needs at least one atom")
@@ -52,23 +69,28 @@ class AtomicDist:
                 raise ValidationError(f"atom location {x} outside [0, 1]")
             if w < 0:
                 raise ValidationError(f"negative atom weight {w}")
-        kept = [(x, w) for x, w in pairs if w > WEIGHT_DROP_TOL]
+        drop_tol, merge_tol = WEIGHT_DROP_TOL, MERGE_TOL
+        if isinstance(pairs[0][1], Fraction):
+            # Comparing a Fraction with a float converts the float each time.
+            drop_tol, merge_tol = Fraction(drop_tol), Fraction(merge_tol)
+        kept = [(x, w) for x, w in pairs if w > drop_tol]
         if not kept:
             raise ValidationError("all atom weights are (near) zero")
         dropped_mass = len(kept) < len(pairs)
         kept.sort(key=lambda p: p[0])
 
-        # A cluster starts at each atom MERGE_TOL or more above the start
-        # (the anchor) of the cluster before it.
-        starts, anchor = [0], kept[0][0]
-        for i, (x, _) in enumerate(kept):
-            if x - anchor >= MERGE_TOL:
-                starts.append(i)
-                anchor = x
         merged = kept
-        if len(starts) < len(kept):
-            ends = [*starts[1:], len(kept)]
-            merged = [_weighted_mean(kept[a:b]) for a, b in zip(starts, ends)]
+        if merge:
+            # A cluster starts at each atom MERGE_TOL or more above the
+            # start (the anchor) of the cluster before it.
+            starts, anchor = [0], kept[0][0]
+            for i, (x, _) in enumerate(kept):
+                if x - anchor >= merge_tol:
+                    starts.append(i)
+                    anchor = x
+            if len(starts) < len(kept):
+                ends = [*starts[1:], len(kept)]
+                merged = [_weighted_mean(kept[a:b]) for a, b in zip(starts, ends)]
 
         total = sum(w for _, w in merged)
         if abs(total - 1) > TABLE_TOL:
@@ -250,9 +272,41 @@ def conjugate(dist: AtomicDist) -> AtomicDist:
     return AtomicDist(atoms)
 
 
-def _merged_breakpoints(a: AtomicDist, b: AtomicDist):
-    pts = set(a.locations) | set(b.locations) | {0, 1}
-    return sorted(pts)
+def _cdf_differences(a: AtomicDist, b: AtomicDist):
+    """Merged breakpoints of ``a`` and ``b`` and ``F_a - F_b`` at each.
+
+    One left-to-right sweep over the two sorted atom lists.  The breakpoints
+    are the locations of both distributions plus 0 and 1, ascending and
+    without repeats (on a tie ``a``'s location is kept).  Each running CDF
+    adds the weights in atom order, as :func:`cdf_eval` does, so the values
+    equal ``cdf_eval(a, y) - cdf_eval(b, y)`` exactly.  Returns
+    ``(breakpoints, differences)``.
+    """
+    xa, xb = a.atoms, b.atoms
+    na, nb = len(xa), len(xb)
+    i = j = 0
+    fa = fb = 0
+    ys, diffs = [], []
+    if xa[0][0] != 0 and xb[0][0] != 0:
+        ys.append(0)
+        diffs.append(0)
+    while i < na or j < nb:
+        if j == nb or (i < na and xa[i][0] <= xb[j][0]):
+            y = xa[i][0]
+        else:
+            y = xb[j][0]
+        while i < na and xa[i][0] <= y:
+            fa = fa + xa[i][1]
+            i += 1
+        while j < nb and xb[j][0] <= y:
+            fb = fb + xb[j][1]
+            j += 1
+        ys.append(y)
+        diffs.append(fa - fb)
+    if ys[-1] != 1:
+        ys.append(1)
+        diffs.append(fa - fb)
+    return ys, diffs
 
 
 def _upper_cdf_integrals(a: AtomicDist, b: AtomicDist):
@@ -262,8 +316,7 @@ def _upper_cdf_integrals(a: AtomicDist, b: AtomicDist):
     breakpoints, so the integral is piecewise linear and its extrema over y
     lie on the returned grid.
     """
-    ys = _merged_breakpoints(a, b)
-    diffs = [cdf_eval(a, y) - cdf_eval(b, y) for y in ys]
+    ys, diffs = _cdf_differences(a, b)
     vals = [0] * len(ys)
     for i in range(len(ys) - 2, -1, -1):
         vals[i] = vals[i + 1] + (ys[i + 1] - ys[i]) * diffs[i]
@@ -276,7 +329,8 @@ def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     Uses the integrated-CDF characterization: the means agree (within
     ``tol``) and ``int_y^1 F_a(x) dx >= int_y^1 F_b(x) dx - tol`` for every
     y.  The integrals are piecewise linear, so the inequality is checked
-    exactly at the union of the two distributions' breakpoints.
+    exactly at the union of the two distributions' breakpoints, which one
+    O(k) sweep over the two sorted atom lists visits.
     """
     if abs(mean(a) - mean(b)) > tol:
         return False
@@ -294,11 +348,14 @@ def blackwell_dominates(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
 
 
 def wasserstein1(a: AtomicDist, b: AtomicDist):
-    """Earth-mover distance ``int |F_a - F_b|``, exact for step CDFs."""
-    ys = _merged_breakpoints(a, b)
+    """Earth-mover distance ``int |F_a - F_b|``, exact for step CDFs.
+
+    One O(k) sweep over the merged breakpoints of the two distributions.
+    """
+    ys, diffs = _cdf_differences(a, b)
     total = 0
-    for y0, y1 in zip(ys, ys[1:]):
-        total = total + (y1 - y0) * abs(cdf_eval(a, y0) - cdf_eval(b, y0))
+    for y0, y1, d in zip(ys, ys[1:], diffs):
+        total = total + (y1 - y0) * abs(d)
     return total
 
 
@@ -308,28 +365,45 @@ def dists_close(a, b, tol=ORDER_TOL) -> bool:
     Takes two :class:`AtomicDist` or two ``SimplexDist``, whose posterior
     vectors are compared in max norm; distributions of different dimensions
     are never close.  Atoms of the two distributions are clustered together
-    whenever consecutive locations in the merged sorted list are within
-    ``tol``; the per-cluster weights must then agree within ``tol``.
+    whenever they lie within ``tol`` of each other, directly or through a
+    chain of atoms; the per-cluster weights must then agree within ``tol``.
     Robust to atom splits caused by round-off.
     """
-    events = sorted(
-        [(_vec(x), w, 0) for x, w in a.atoms] + [(_vec(x), w, 1) for x, w in b.atoms]
-    )
-    if len({len(x) for x, _, _ in events}) > 1:
+    groups = {}  # location or posterior vector -> [weight in a, weight in b]
+    for side, dist in enumerate((a, b)):
+        for x, w in dist.atoms:
+            pair = groups.setdefault(_vec(x), [0, 0])
+            pair[side] = pair[side] + w
+    vecs = sorted(groups)
+    if len({len(x) for x in vecs}) > 1:
         return False
-    wa = wb = 0
-    prev_x = None
-    for x, w, side in events:
-        if prev_x is not None and max(abs(p - q) for p, q in zip(x, prev_x)) > tol:
-            if abs(wa - wb) > tol:
-                return False
-            wa = wb = 0
-        if side == 0:
-            wa = wa + w
-        else:
-            wb = wb + w
-        prev_x = x
-    return abs(wa - wb) <= tol
+    if isinstance(vecs[0][0], Fraction):
+        # Comparing a Fraction with a float converts the float each time.
+        tol = Fraction(tol)
+    # Every earlier vector within tol of this one has a first coordinate
+    # within tol of its own, so it lies in the run just before it in
+    # lexicographic order; that run can also hold far vectors, because one
+    # ulp in a first coordinate reorders them.
+    root = list(range(len(vecs)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, x in enumerate(vecs):
+        j = i - 1
+        while j >= 0 and x[0] - vecs[j][0] <= tol:
+            if max(abs(p - q) for p, q in zip(x, vecs[j])) <= tol:
+                root[find(j)] = find(i)
+            j -= 1
+    sums = {}
+    for i, x in enumerate(vecs):
+        total = sums.setdefault(find(i), [0, 0])
+        total[0] = total[0] + groups[x][0]
+        total[1] = total[1] + groups[x][1]
+    return all(abs(wa - wb) <= tol for wa, wb in sums.values())
 
 
 def _vec(x):

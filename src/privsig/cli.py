@@ -139,8 +139,16 @@ def _cmd_pareto_check(args):
     _emit_json({"pareto_optimal": is_pareto_optimal_2x2(mu1, mu2, args.tol)})
 
 
+def _array_field(doc, key):
+    """``doc[key]`` as a numpy array; ragged nesting is a validation error."""
+    try:
+        return np.asarray(doc.get(key))
+    except ValueError:
+        raise ValidationError(f"field '{key}': rows must have equal lengths") from None
+
+
 def _grid_from_doc(doc):
-    cells = np.asarray(doc.get("cells"))
+    cells = _array_field(doc, "cells")
     if cells.dtype == object or cells.ndim not in (2, 3):
         raise ValidationError("field 'cells': expected a nested integer array")
     if cells.max(initial=0) <= 1:
@@ -151,7 +159,7 @@ def _grid_from_doc(doc):
 def _cmd_uniqueness(args):
     doc = _read_json(args.infile)
     if "matrix" in doc:
-        mat = np.asarray(doc["matrix"])
+        mat = _array_field(doc, "matrix")
         unique = switch_uniqueness_matrix(mat)
         witness = None
         if not unique and mat.size <= 25:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._num import _zeros
+from ._num import _table_sum, _zeros
 from .beliefs import AtomicDist, conjugate
 from .errors import ValidationError
 from .structures import FiniteStructure, _posteriors, posterior_dist
@@ -89,7 +89,7 @@ def finite_disclosure(s: FiniteStructure) -> FiniteStructure:
 
     # Each piece lies entirely on one side of each value's cut: above it
     # the state is 1.  Zero-probability values carry zero mass either way.
-    probs = s.pmf.sum(axis=0)
+    probs = _table_sum(s.pmf, axis=0)
     lengths = np.array([hi - lo for lo, hi in pieces], dtype=probs.dtype)
     mass = np.multiply.outer(probs, lengths)
     above = np.array([[lo >= cut for lo, _ in pieces] for cut in cuts])[value_map]

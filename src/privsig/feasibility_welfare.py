@@ -199,7 +199,12 @@ class WelfareResult:
 
 
 def _payoff_table(u):
-    arr = np.asarray(u, dtype=float)
+    try:
+        arr = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "payoff tables are state x action arrays of numbers"
+        ) from None
     if arr.ndim != 2 or arr.shape[0] != 2 or arr.shape[1] < 1:
         raise ValidationError("payoff tables are state x action with 2 states")
     if not np.isfinite(arr).all():
@@ -295,11 +300,19 @@ def maximize_welfare(u1, u2, prior, grid_size=200):
     lexicographically smallest ``(alpha, beta)`` and the unswapped
     assignment.
     """
-    u1 = _payoff_table(u1)
-    u2 = _payoff_table(u2)
-    prior = float(prior)
+    tables = []
+    for name, u in (("u1", u1), ("u2", u2)):
+        try:
+            tables.append(_payoff_table(u))
+        except ValidationError as exc:
+            raise ValidationError(f"field '{name}': {exc}") from None
+    u1, u2 = tables
+    try:
+        prior = float(prior)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field 'prior': expected a number, got {prior!r}") from None
     if not (0 < prior < 1):
-        raise ValidationError("the prior must be interior to (0, 1)")
+        raise ValidationError("field 'prior': the prior must be interior to (0, 1)")
 
     alphas = (1 - prior) * np.arange(1, grid_size + 1) / grid_size
     betas = prior * np.arange(1, grid_size + 1) / grid_size

@@ -26,6 +26,7 @@ from ._num import (
     PROBABILITY_TOL,
     TABLE_TOL,
     WEIGHT_DROP_TOL,
+    _table_sum,
     _zeros,
     as_fraction,
 )
@@ -51,6 +52,21 @@ class SimplexDist:
     atoms: tuple
 
     def __init__(self, atoms):
+        self._set_atoms(atoms, merge=True)
+
+    @classmethod
+    def _of_clusters(cls, atoms):
+        """The distribution of posterior vectors that are already clustered.
+
+        Validates, drops and renormalizes as the constructor does, but
+        merges no atoms: clustering the means of clusters again can merge
+        two of them (notes/decisions.md, "Posterior clustering").
+        """
+        dist = object.__new__(cls)
+        dist._set_atoms(atoms, merge=False)
+        return dist
+
+    def _set_atoms(self, atoms, merge):
         pairs = [(tuple(v), w) for v, w in atoms]
         if not pairs:
             raise ValidationError("a simplex distribution needs at least one atom")
@@ -65,7 +81,10 @@ class SimplexDist:
             if w < 0:
                 raise ValidationError(f"negative weight {w}")
         pairs = [(v, w) for v, w in pairs if w > WEIGHT_DROP_TOL]
-        merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
+        if merge:
+            merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
+        else:
+            merged = sorted(pairs, key=lambda p: p[0])
         total = sum(w for _, w in merged)
         if abs(total - 1) > TABLE_TOL:
             raise ValidationError(f"weights sum to {total}, expected 1")
@@ -169,12 +188,12 @@ class FiniteStructure:
         # NaN fails every comparison; +inf passes this one but not the sum.
         if not all(v >= 0 for v in flat.tolist()):
             raise ValidationError("field 'pmf': entries must be finite and nonnegative")
-        total = flat.sum()
+        total = _table_sum(flat)
         if abs(total - 1) > TABLE_TOL:
             raise ValidationError(
                 f"field 'pmf': entries must be finite and sum to 1, got {total}"
             )
-        prior = arr.reshape(arr.shape[0], -1).sum(axis=1)
+        prior = _table_sum(arr.reshape(arr.shape[0], -1), axis=1)
         if any(p <= 0 for p in prior.tolist()):
             raise ValidationError("every state needs positive prior probability")
         arr.setflags(write=False)
@@ -209,14 +228,14 @@ class FiniteStructure:
 
     @property
     def prior(self) -> tuple:
-        return tuple(self.pmf.reshape(self.m, -1).sum(axis=1).tolist())
+        return tuple(_table_sum(self.pmf.reshape(self.m, -1), axis=1).tolist())
 
     def signal_marginal(self, agent: int) -> tuple:
         """Unconditional distribution of agent ``agent``'s signal value."""
         if not (0 <= agent < self.n):
             raise ValidationError(f"agent index {agent} out of range")
         axes = tuple(ax for ax in range(self.pmf.ndim) if ax != 1 + agent)
-        return tuple(self.pmf.sum(axis=axes).tolist())
+        return tuple(_table_sum(self.pmf, axis=axes).tolist())
 
 
 def _posteriors(joint):
@@ -230,7 +249,7 @@ def _posteriors(joint):
     and an integer array giving each value's atom index, or -1 for values
     of probability zero.
     """
-    probs = joint.sum(axis=0)
+    probs = _table_sum(joint, axis=0)
     live = np.flatnonzero(probs > 0)
     posts = (joint[:, live] / probs[live]).T.tolist()
     groups = {}  # posterior vector -> [group index, total weight]
@@ -250,13 +269,14 @@ def _agent_joint(s: FiniteStructure, agent: int):
     if not (0 <= agent < s.n):
         raise ValidationError(f"agent index {agent} out of range")
     axes = tuple(ax for ax in range(1, s.pmf.ndim) if ax != 1 + agent)
-    return s.pmf.sum(axis=axes) if axes else s.pmf
+    return _table_sum(s.pmf, axis=axes) if axes else s.pmf
 
 
 def _belief_dist(atoms):
+    """The belief distribution of the kernel's atoms, not clustered again."""
     if len(atoms[0][0]) == 2:
-        return AtomicDist([(vec[1], w) for vec, w in atoms])
-    return SimplexDist(atoms)
+        return AtomicDist._of_clusters([(vec[1], w) for vec, w in atoms])
+    return SimplexDist._of_clusters(atoms)
 
 
 def posterior_dist(s: FiniteStructure, agent: int):
@@ -283,7 +303,7 @@ def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
     product of the per-agent signal marginals, within ``tol`` in total
     variation.
     """
-    joint = s.pmf.sum(axis=0)
+    joint = _table_sum(s.pmf, axis=0)
     prod = np.ones((), dtype=joint.dtype)
     for agent in range(s.n):
         marg = np.asarray(s.signal_marginal(agent), dtype=joint.dtype)
@@ -491,7 +511,7 @@ def build_associated_set(s: FiniteStructure) -> RegionSet:
     edges1 = _cum_edges(marg1)
     edges2 = _cum_edges(marg2)
     joint1 = s.pmf[1]  # P(state = 1, v1, v2)
-    joint = s.pmf.sum(axis=0)
+    joint = _table_sum(s.pmf, axis=0)
     bands = []
     for v1 in range(len(marg1)):
         if marg1[v1] == 0:
@@ -701,7 +721,7 @@ def structure_from_grid(grid, exact=False) -> FiniteStructure:
     if exact or vectors.dtype == object:
         pmf = np.vectorize(as_fraction, otypes=[object])(pmf)
     pmf = pmf / n_cells
-    marg = pmf.reshape(m, -1).sum(axis=1)
+    marg = _table_sum(pmf.reshape(m, -1), axis=1)
     keep = [k for k in range(m) if marg[k] > 0]
     return FiniteStructure(pmf[keep])
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import privsig.beliefs
 from privsig import (
     AtomicDist,
     ValidationError,
@@ -12,7 +13,9 @@ from privsig import (
     cdf_eval,
     conjugate,
     dists_close,
+    is_feasible_pair,
     is_mpc,
+    is_pareto_optimal_2x2,
     mean,
     point_mass,
     quantile,
@@ -20,6 +23,7 @@ from privsig import (
     uniform_grid,
     wasserstein1,
 )
+from privsig.beliefs import _upper_cdf_integrals
 from conftest import random_atomic, random_garble_dist
 
 QUARTERS = AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
@@ -269,3 +273,93 @@ class TestWasserstein:
         for _ in range(10):
             a, b = random_atomic(rng), random_atomic(rng)
             assert abs(wasserstein1(a, b) - wasserstein1(b, a)) < 1e-15
+
+
+def oracle_breakpoints(a, b):
+    """The per-breakpoint formulation the sweep replaced: O(k^2)."""
+    ys = sorted(set(a.locations) | set(b.locations) | {0, 1})
+    return ys, [cdf_eval(a, y) - cdf_eval(b, y) for y in ys]
+
+
+def oracle_upper_cdf_integrals(a, b):
+    ys, diffs = oracle_breakpoints(a, b)
+    vals = [0] * len(ys)
+    for i in range(len(ys) - 2, -1, -1):
+        vals[i] = vals[i + 1] + (ys[i + 1] - ys[i]) * diffs[i]
+    return ys, vals
+
+
+def oracle_wasserstein1(a, b):
+    ys, diffs = oracle_breakpoints(a, b)
+    total = 0
+    for y0, y1, d in zip(ys, ys[1:], diffs):
+        total = total + (y1 - y0) * abs(d)
+    return total
+
+
+def typed(values):
+    """Values with their types, so that == also tells 0 from 0.0 and
+    Fraction from float."""
+    return [(v, type(v)) for v in values]
+
+
+@st.composite
+def sweep_pairs(draw):
+    """Float or Fraction distributions on a common grid of locations, so
+    they share locations often and hold atoms at 0 and 1; one-atom lists
+    are point masses.  A float and a Fraction list can share a location
+    whose two copies are equal but differ in type."""
+    grid = draw(st.sampled_from([1, 2, 3, 10, 1000]))
+
+    def dist():
+        exact = draw(st.booleans())
+        locs = draw(st.lists(st.integers(0, grid), min_size=1, max_size=8, unique=True))
+        raw = draw(st.lists(st.integers(1, 9), min_size=len(locs), max_size=len(locs)))
+        total = sum(raw)
+        if exact:
+            return AtomicDist([(F(x, grid), F(w, total)) for x, w in zip(locs, raw)])
+        return AtomicDist([(x / grid, w / total) for x, w in zip(locs, raw)])
+
+    return dist(), dist()
+
+
+class TestSweep:
+    """The one-pass sweep behind the order tests against the per-breakpoint
+    cdf_eval formulation: equal on floats, equal and still exact on
+    Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_pairs())
+    def test_upper_cdf_integrals_match_cdf_eval_oracle(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, conjugate(b))):
+            ys, vals = _upper_cdf_integrals(x, y)
+            want_ys, want_vals = oracle_upper_cdf_integrals(x, y)
+            assert typed(ys) == typed(want_ys)
+            assert typed(vals) == typed(want_vals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_pairs())
+    def test_wasserstein1_matches_cdf_eval_oracle(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, conjugate(b))):
+            got, want = wasserstein1(x, y), oracle_wasserstein1(x, y)
+            assert typed([got]) == typed([want])
+            if x.exact and y.exact:
+                assert isinstance(got, (int, F))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_order_tests_never_call_cdf_eval(self, monkeypatch, exact):
+        # Guards the linear sweep: the quadratic per-breakpoint path would
+        # call cdf_eval once per merged breakpoint.
+        def refuse(dist, x):
+            raise AssertionError("cdf_eval called by an order test")
+
+        monkeypatch.setattr(privsig.beliefs, "cdf_eval", refuse)
+        mu = uniform_grid(64, exact=exact)
+        conj = conjugate(mu)
+        assert is_mpc(point_mass(mean(mu)), conj)
+        assert wasserstein1(mu, conj) > 0
+        assert is_feasible_pair(mu, conj)
+        assert is_pareto_optimal_2x2(mu, conj)
+        assert not is_pareto_optimal_2x2(mu, mu)

@@ -139,6 +139,24 @@ def test_designer_infinite_prior_exit_code(write, capsys):
     assert "'prior'" in err and "Traceback" not in err
 
 
+GAME = [[1, -1], [-1, 1]]
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("welfare", {"u1": GAME, "u2": GAME, "prior": "a"}, "prior"),
+    ("welfare", {"u1": GAME, "u2": GAME, "prior": [0.5]}, "prior"),
+    ("welfare", {"u1": [[1, -1], [-1]], "u2": GAME, "prior": 0.5}, "u1"),
+    ("uniqueness", {"cells": [[0, 1], [1]]}, "cells"),
+    ("uniqueness", {"matrix": [[0, 1], [1]]}, "matrix"),
+], ids=["welfare-prior-string", "welfare-prior-list", "welfare-ragged-u1",
+        "uniqueness-ragged-cells", "uniqueness-ragged-matrix"])
+def test_malformed_document_exit_code(write, capsys, command, doc, field):
+    code, out, err = run_cli(capsys, [command, "--in", write("d.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert f"'{field}'" in err and "Traceback" not in err
+
+
 def test_welfare(write, capsys):
     path = write("w.json", {"u1": [[1, -1], [-1, 1]],
                             "u2": [[1, -1], [-1, 1]], "prior": 0.5})

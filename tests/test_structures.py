@@ -158,6 +158,17 @@ class TestEquivalence:
         assert dists_close(three, three, 0)
         assert not dists_close(posterior_dist(blocks, 0), three)
 
+    def test_revelation_is_equivalent_when_an_ulp_reorders_posteriors(self):
+        # Revealing rounds the heavy posterior (1/2, 1/6, 1/3) one ulp down
+        # in its first coordinate, so it sorts before (1/2, 0, 1/2) instead
+        # of after it; the two copies are no longer lexicographic
+        # neighbours.
+        s = FiniteStructure(np.array([[3, 2, 6, 12], [1, 0, 2, 4], [2, 2, 4, 8]]) / 46)
+        revealed = direct_revelation(s)
+        assert [v[0] for v, _ in posterior_dist(revealed, 0).atoms][0] < 0.5
+        assert dists_close(posterior_dist(revealed, 0), posterior_dist(s, 0), 1e-12)
+        assert equivalent(revealed, s)
+
     def test_mismatched_shapes_error(self, blocks):
         with pytest.raises(ValidationError):
             equivalent(blocks, symmetric_binary_signal(F(3, 4)))
@@ -325,6 +336,26 @@ class TestPosteriorClustering:
         s = FiniteStructure(cols / cols.sum())
         assert len(posterior_dist(s, 0).atoms) == 2
         assert direct_revelation(s).alphabet_sizes == (2,)
+
+    def test_posterior_dist_does_not_cluster_the_atoms_again(self):
+        # The heavy middle posterior joins the first cluster; its mean then
+        # lies within tol of the last posterior, which anchors a cluster of
+        # its own.  A second clustering pass would merge the two atoms.
+        tol = POSTERIOR_MERGE_TOL
+        firsts = [0.3, 0.3 + 0.9 * tol, 0.3 + 1.1 * tol]
+        cols = np.array([[x, 0.5, 0.5 - x] for x in firsts]).T * [1, 10, 1]
+        s = FiniteStructure(cols / cols.sum())
+        assert direct_revelation(s).alphabet_sizes == (2,)
+        assert len(posterior_dist(s, 0).atoms) == 2
+
+    def test_binary_posterior_dist_does_not_cluster_the_atoms_again(self):
+        # Binary posteriors are visited from the top.  The heavy middle one
+        # joins the top anchor's cluster, whose mean then lies 2e-14 above
+        # the bottom one: AtomicDist's own pass would merge the two atoms.
+        tol = POSTERIOR_MERGE_TOL
+        s = binary_signal([0.3, 0.3 + 0.0002 * tol, 0.3 + 1.0001 * tol], [1, 1e6, 1])
+        assert direct_revelation(s).alphabet_sizes == (2,)
+        assert len(posterior_dist(s, 0).atoms) == 2
 
     @settings(max_examples=80, deadline=None)
     @given(tables(), st.data())
