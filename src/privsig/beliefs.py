@@ -330,12 +330,12 @@ def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     ``tol``) and ``int_y^1 F_a(x) dx >= int_y^1 F_b(x) dx - tol`` for every
     y.  The integrals are piecewise linear, so the inequality is checked
     exactly at the union of the two distributions' breakpoints, which one
-    O(k) sweep over the two sorted atom lists visits.
+    O(k) sweep over the two sorted atom lists visits.  The first breakpoint
+    is 0, where the integral is ``mean(b) - mean(a)``, so the same sweep
+    compares the means.
     """
-    if abs(mean(a) - mean(b)) > tol:
-        return False
     _, vals = _upper_cdf_integrals(a, b)
-    return min(vals) >= -tol
+    return abs(vals[0]) <= tol and min(vals) >= -tol
 
 
 def blackwell_dominates(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:

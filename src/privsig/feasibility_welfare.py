@@ -14,7 +14,10 @@ welfare-maximal structure always exists with one agent holding a two-point
 belief distribution and the other its (at most three-point) conjugate, so
 the search space is the two scalars ``(alpha, beta)`` parameterizing
 ``mu = alpha/(alpha+beta) delta_{pbar-beta} + beta/(alpha+beta)
-delta_{pbar+alpha}``.
+delta_{pbar+alpha}``.  On that family welfare is piecewise "linear plus
+hyperbola", so a finite set of candidates, the meeting points of the lines
+where either agent's best action can change and the stationary points along
+them, contains a maximizer; no numerical search runs.
 """
 
 from __future__ import annotations
@@ -261,44 +264,63 @@ def _pair_welfare(u_lo, u_hi, prior, alpha, beta):
     return two_point + conj
 
 
-def _refine_coordinate(fn, x, lo, hi, span, steps=160):
-    """Golden-section polish of one coordinate inside [lo, hi].
+def _crossings(u):
+    """Beliefs in (0, 1) where two actions' expected payoffs cross."""
+    slope = u[1] - u[0]
+    i, j = np.triu_indices(u.shape[1], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (u[0, j] - u[0, i]) / (slope[i] - slope[j])
+    return q[(q > 0) & (q < 1)]
 
-    Starts from a bracket of width ``span`` around ``x`` and returns the
-    best point found; the objective is only piecewise smooth, so the result
-    is accepted by the caller only on strict improvement.
+
+def _candidates(u_lo, u_hi, prior):
+    """Points ``(alpha, beta)`` among which the frontier welfare peaks.
+
+    In ``x = prior - beta`` and ``y = prior + alpha`` the crossings of the
+    two-point agent cut x- and y-lines and those of the conjugate agent cut
+    rays ``(prior - x)/(y - x) = kappa``.  The candidates are the
+    intersections of these lines and, on each x- or y-line, the stationary
+    point of every branch ``A + D t + M/(t - t0)`` (see
+    ``notes/decisions.md``, "Welfare optimum by candidate enumeration").
     """
-    gold = (np.sqrt(5) - 1) / 2
-    a = max(lo, x - span)
-    b = min(hi, x + span)
-    c = b - gold * (b - a)
-    d = a + gold * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(steps):
-        if b - a < 1e-12:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - gold * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gold * (b - a)
-            fd = fn(d)
-    candidates = [(fn(x), x) for x in (a, b, c, d)]
-    best = max(candidates, key=lambda t: t[0])
-    return best[1], best[0]
+    cuts, kappa = _crossings(u_lo), _crossings(u_hi)
+    xs = np.append(0.0, cuts[cuts < prior])
+    ys = np.append(1.0, cuts[cuts > prior])
+
+    def stationary_offsets(t, width, d):
+        # sqrt(M/D) for every pair of actions: M = width (l_a(t) - V_lo(t))
+        # of the two-point agent, D = u_hi[., h] - V_hi(.) of the other.
+        lines = u_lo[0] + np.multiply.outer(t, u_lo[1] - u_lo[0])
+        m = width[:, None] * (lines - lines.max(axis=1, keepdims=True))
+        return np.sqrt(m[:, :, None] / (d - d.max())).reshape(len(t), -1)
+
+    x_col, y_col = xs[:, None], ys[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        points = [
+            (x_col, ys),  # x-line meets y-line
+            (x_col, x_col + (prior - x_col) / kappa),  # ray meets x-line
+            ((prior - kappa * y_col) / (1 - kappa), y_col),  # ray meets y-line
+            (x_col, x_col + stationary_offsets(xs, prior - xs, u_hi[0])),
+            (y_col - stationary_offsets(ys, ys - prior, u_hi[1]), y_col),
+        ]
+    pairs = [np.broadcast_arrays(a, b) for a, b in points]
+    x = np.concatenate([a.ravel() for a, _ in pairs])
+    y = np.concatenate([b.ravel() for _, b in pairs])
+    keep = (0 <= x) & (x < prior) & (prior < y) & (y <= 1)
+    return y[keep] - prior, prior - x[keep]
 
 
-def maximize_welfare(u1, u2, prior, grid_size=200):
-    """Search the Pareto frontier for the welfare-maximal structure.
+def maximize_welfare(u1, u2, prior):
+    """The welfare-maximal structure on the Pareto frontier.
 
-    Evaluates the two-parameter family on a ``grid_size x grid_size`` grid
-    over ``(0, 1 - prior] x (0, prior]`` for both role assignments (either
-    agent may hold the two-point distribution), then polishes the best grid
-    point by coordinate descent to 1e-10.  Ties are broken toward the
-    lexicographically smallest ``(alpha, beta)`` and the unswapped
-    assignment.
+    Some welfare-maximal private private structure gives one agent a
+    two-point belief distribution, fixed by ``(alpha, beta)`` in
+    ``(0, 1 - prior] x (0, prior]``, and the other its conjugate.  On that
+    family welfare is piecewise "linear plus hyperbola", and a finite set of
+    candidates (:func:`_candidates`) contains a maximizer for each role
+    assignment; the result is the best candidate of both assignments,
+    evaluated in floats.  Ties go to the lexicographically smallest
+    ``(alpha, beta)``, then to the unswapped assignment.
     """
     tables = []
     for name, u in (("u1", u1), ("u2", u2)):
@@ -314,49 +336,16 @@ def maximize_welfare(u1, u2, prior, grid_size=200):
     if not (0 < prior < 1):
         raise ValidationError("field 'prior': the prior must be interior to (0, 1)")
 
-    alphas = (1 - prior) * np.arange(1, grid_size + 1) / grid_size
-    betas = prior * np.arange(1, grid_size + 1) / grid_size
-    alpha_grid, beta_grid = np.meshgrid(alphas, betas, indexing="ij")
-
-    best = None  # (welfare, alpha, beta, swapped)
+    found = []  # (welfare, alpha, beta, swapped) arrays per role assignment
     for swapped in (False, True):
         u_lo, u_hi = (u2, u1) if swapped else (u1, u2)
-        values = _pair_welfare(u_lo, u_hi, prior, alpha_grid, beta_grid)
-        order = np.argsort(values, axis=None, kind="stable")
-        top = order[-1]
-        # Walk back over exact ties to the lexicographically smallest point.
-        tied = order[values.ravel()[order] == values.ravel()[top]]
-        idx = min(int(t) for t in tied)
-        a_i, b_i = divmod(idx, grid_size)
-        cand = (float(values[a_i, b_i]), float(alphas[a_i]), float(betas[b_i]), swapped)
-        if best is None or cand[0] > best[0]:
-            best = cand
-
-    welfare, alpha, beta, swapped = best
-    u_lo, u_hi = (u2, u1) if swapped else (u1, u2)
-
-    def objective(a, b):
-        return float(_pair_welfare(u_lo, u_hi, prior, a, b))
-
-    span_a = (1 - prior) / grid_size
-    span_b = prior / grid_size
-    for _ in range(60):
-        moved = False
-        a_new, val = _refine_coordinate(
-            lambda a: objective(a, beta), alpha, 1e-12, 1 - prior, span_a
-        )
-        if val > welfare:
-            alpha, welfare, moved = a_new, val, True
-        b_new, val = _refine_coordinate(
-            lambda b: objective(alpha, b), beta, 1e-12, prior, span_b
-        )
-        if val > welfare:
-            beta, welfare, moved = b_new, val, True
-        if not moved:
-            span_a /= 4
-            span_b /= 4
-            if span_a < 1e-11 and span_b < 1e-11:
-                break
+        alphas, betas = _candidates(u_lo, u_hi, prior)
+        values = _pair_welfare(u_lo, u_hi, prior, alphas, betas)
+        found.append((values, alphas, betas, np.full(len(alphas), swapped)))
+    values, alphas, betas, swaps = map(np.concatenate, zip(*found))
+    best = np.lexsort((swaps, betas, alphas, -values))[0]
+    welfare, alpha, beta = float(values[best]), float(alphas[best]), float(betas[best])
+    swapped = bool(swaps[best])
 
     mu_lo = _two_point(prior, alpha, beta)
     mu_hi = conjugate(mu_lo)

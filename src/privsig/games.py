@@ -197,17 +197,32 @@ def designer_optimum(problem: DesignerProblem):
     payoff = res.value
 
     # Lexicographic refinement: pin the optimal value, then maximize each
-    # kernel coordinate in turn.
+    # kernel coordinate in turn.  Once the coordinates before it are pinned,
+    # the last cell of a state is forced by its row sum and every cell of
+    # the last live state by its column sum; those are read off the
+    # constraints instead of solved for.
     cons = list(base) + [(objective, EQ, payoff)]
-    solution = list(res.x)
+    solution = []
+    last = len(live) - 1
     for t in range(n_vars):
-        probe = [Fraction(0)] * n_vars
-        probe[t] = Fraction(1)
-        step = solve_lp(probe, cons, maximize=True)
-        if not step.optimal:
-            raise ArithmeticError("lexicographic refinement LP failed")
-        solution = list(step.x)
-        cons.append((probe, EQ, step.value))
+        ki, cell = divmod(t, n_cells)
+        if ki == last:
+            taken = sum(
+                problem.prior[live[kj]] * solution[kj * n_cells + cell]
+                for kj in range(last)
+            )
+            value = (eq[cell // n2][cell % n2] - taken) / problem.prior[live[ki]]
+        elif cell == n_cells - 1:
+            value = Fraction(1) - sum(solution[t - cell:t])
+        else:
+            probe = [Fraction(0)] * n_vars
+            probe[t] = Fraction(1)
+            step = solve_lp(probe, cons, maximize=True)
+            if not step.optimal:
+                raise ArithmeticError("lexicographic refinement LP failed")
+            value = step.value
+            cons.append((probe, EQ, value))
+        solution.append(value)
 
     kernel = []
     for k in range(problem.n_states):

@@ -112,9 +112,9 @@ def test_criterion_03_welfare_optimum():
     res = maximize_welfare(u1, u2, 0.5)
     elapsed = time.perf_counter() - t0
     target = 4 - 2 * math.sqrt(2)
-    assert abs(res.welfare - target) < 1e-6
-    assert abs(res.alpha - (math.sqrt(0.5) - 0.5)) < 1e-4
-    assert abs(res.beta - 0.5) < 1e-4
+    assert abs(res.welfare - target) <= 1e-12
+    assert abs(res.alpha - (math.sqrt(0.5) - 0.5)) <= 1e-12
+    assert res.beta == 0.5
     assert elapsed < 5.0
     verdict(3, True, f"welfare {res.welfare:.9f} = 4 - 2*sqrt(2) in {elapsed:.2f}s")
 

@@ -363,3 +363,24 @@ class TestSweep:
         assert is_feasible_pair(mu, conj)
         assert is_pareto_optimal_2x2(mu, conj)
         assert not is_pareto_optimal_2x2(mu, mu)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_is_mpc_takes_the_means_from_the_sweep(self, monkeypatch, exact):
+        # The sweep's integral from 0 is mean(b) - mean(a), so is_mpc needs
+        # no dot product of its own to compare the means.
+        mu = uniform_grid(64, exact=exact)
+        conj = conjugate(mu)
+        center = point_mass(mean(mu))
+        below = point_mass(mean(mu) - (F(1, 10) if exact else 0.1))
+
+        def refuse(dist):
+            raise AssertionError("mean called by is_mpc")
+
+        monkeypatch.setattr(privsig.beliefs, "mean", refuse)
+        assert is_mpc(center, conj)
+        assert is_mpc(conj, conj)
+        assert not is_mpc(conj, center)
+        assert blackwell_dominates(mu, center)
+        # Every upper integral of F_below - F_conj is >= 0; only the means
+        # tell this pair apart.
+        assert not is_mpc(below, conj)

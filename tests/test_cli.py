@@ -1,6 +1,7 @@
 """End-to-end CLI: dispatch, schemas, exit codes, determinism."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -163,7 +164,9 @@ def test_welfare(write, capsys):
     code, out, _ = run_cli(capsys, ["welfare", "--in", path])
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["welfare"] - 1.1715728752538097) < 1e-6
+    assert abs(doc["welfare"] - (4 - 2 * math.sqrt(2))) <= 1e-12
+    assert abs(doc["alpha"] - (math.sqrt(0.5) - 0.5)) <= 1e-12
+    assert doc["beta"] == 0.5
     assert doc["reveal_one"] == 1.0
 
 

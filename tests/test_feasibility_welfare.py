@@ -206,9 +206,9 @@ class TestWelfare:
     def test_matching_game_optimum(self):
         u1, u2 = matching_game()
         res = maximize_welfare(u1, u2, 0.5)
-        assert abs(res.welfare - (4 - 2 * math.sqrt(2))) < 1e-9
-        assert abs(res.alpha - (math.sqrt(0.5) - 0.5)) < 1e-6
-        assert abs(res.beta - 0.5) < 1e-9
+        assert abs(res.welfare - (4 - 2 * math.sqrt(2))) <= 1e-12
+        assert abs(res.alpha - (math.sqrt(0.5) - 0.5)) <= 1e-12
+        assert res.beta == 0.5
         assert res.reveal_one == 1.0
 
     def test_optimum_is_pareto_pair_with_small_support(self):
@@ -243,6 +243,18 @@ class TestWelfare:
             w = welfare_of_pair(mu1, mu2, u1, u2)
             assert w <= res.welfare + 1e-9
 
+    def test_no_grid_point_beats_the_candidates(self, rng):
+        for game in range(200):
+            shapes = rng.integers(1, 5, size=2)
+            if game % 2:
+                u1, u2 = (rng.integers(-4, 5, size=(2, n)).tolist() for n in shapes)
+            else:
+                u1, u2 = (rng.normal(size=(2, n)).tolist() for n in shapes)
+            prior = float(rng.uniform(0.02, 0.98))
+            res = maximize_welfare(u1, u2, prior)
+            assert res.welfare >= grid_welfare(u1, u2, prior) - 1e-12
+            assert abs(res.welfare - welfare_of_pair(res.mu1, res.mu2, u1, u2)) <= 1e-12
+
     def test_prior_validation(self):
         with pytest.raises(ValidationError):
             maximize_welfare([[1, 0], [0, 1]], [[1, 0], [0, 1]], 1.0)
@@ -250,6 +262,30 @@ class TestWelfare:
     def test_nonfinite_payoffs_rejected(self):
         with pytest.raises(ValidationError):
             maximize_welfare([[float("inf"), 0], [0, 1]], [[1, 0], [0, 1]], 0.5)
+
+
+def grid_welfare(u1, u2, prior, steps=120):
+    """Best frontier welfare on a steps x steps grid over (0, 1 - prior] x
+    (0, prior] for both role assignments; the oracle for the candidate
+    enumeration in ``maximize_welfare``."""
+    u1, u2 = np.asarray(u1, dtype=float), np.asarray(u2, dtype=float)
+    alpha, beta = np.meshgrid((1 - prior) * np.arange(1, steps + 1) / steps,
+                              prior * np.arange(1, steps + 1) / steps)
+    total = alpha + beta
+
+    def value(u, q):  # indirect utility at each belief in q
+        return np.max(np.multiply.outer(1 - q, u[0]) + np.multiply.outer(q, u[1]), axis=-1)
+
+    def two_point(u):
+        return (alpha * value(u, prior - beta) + beta * value(u, prior + alpha)) / total
+
+    def conjugate_side(u):
+        ends = value(u, np.array([0.0, 1.0]))
+        return ((1 - prior - alpha) * ends[0] + total * value(u, beta / total)
+                + (prior - beta) * ends[1])
+
+    return max((two_point(u1) + conjugate_side(u2)).max(),
+               (two_point(u2) + conjugate_side(u1)).max())
 
 
 def posterior_like_full_revelation(mu, tol=1e-6):

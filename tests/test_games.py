@@ -139,6 +139,14 @@ class TestDesigner:
         k1, _ = designer_optimum(problem)
         k2, _ = designer_optimum(problem)
         assert k1 == k2
+        # The lexicographically maximal optimal kernel, every cell an exact
+        # Fraction, including those forced by the row and column sums.
+        z, one, two = F(0), F(1, 9), F(2, 9)
+        assert k1 == (
+            ((two, two, two), (two, one, z), (z, z, z)),
+            ((z, z, z), (z, one, two), (two, two, two)),
+        )
+        assert all(type(v) is F for state in k1 for row in state for v in row)
 
     def test_recommendations_are_private_private(self):
         problem = rock_paper_scissors_problem()

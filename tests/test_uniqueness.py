@@ -111,6 +111,22 @@ class TestSwitchAndBruteForce:
             bf = len(brute_force_marginal_mates(mat)) == 1
             assert sw == gr == bf, f"oracles disagree on {mat.tolist()}"
 
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 5), (5, 3), (4, 4), (5, 5)])
+    def test_switch_agrees_with_enumeration(self, rng, shape):
+        # Permuted Ferrers diagrams (unique), one cell toggled (mostly not),
+        # and uniform random matrices, checked against full enumeration.
+        n_rows, n_cols = shape
+        for trial in range(30):
+            lengths = rng.integers(0, n_cols + 1, size=n_rows)
+            mat = (np.arange(n_cols) < lengths[:, None]).astype(int)
+            mat = mat[rng.permutation(n_rows)][:, rng.permutation(n_cols)]
+            if trial % 3 == 1:
+                mat[rng.integers(n_rows), rng.integers(n_cols)] ^= 1
+            elif trial % 3 == 2:
+                mat = rng.integers(0, 2, size=shape)
+            bf = len(brute_force_marginal_mates(mat)) == 1
+            assert switch_uniqueness_matrix(mat) == bf, mat.tolist()
+
 
 class TestLorentz:
     def test_upper_triangle(self):
