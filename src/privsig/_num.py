@@ -1,9 +1,13 @@
 """Small numeric helpers shared by the value types.
 
 Quantities in this package are plain Python numbers: ``float`` for the
-approximate path and :class:`fractions.Fraction` for the exact path.  All
-algorithms are written polymorphically, so a structure built from Fractions
-stays exact end to end.
+approximate path and :class:`fractions.Fraction` for the exact path, so a
+structure built from Fractions stays exact end to end.  Exact joint tables
+are the one exception inside the library: a ``FiniteStructure`` keeps them
+as integer numerators over one common denominator, ``int64`` while every
+entry and partial sum fits and Python ints beyond that, and shows them as
+Fractions only in its public values (notes/decisions.md, "Exact tables on
+one common denominator").  The helpers below convert to that form.
 
 Every float tolerance of the package is defined once, in the table below.
 """
@@ -44,38 +48,43 @@ SLACK_TOL = -1e-9
 LP_TOL = 1e-7
 
 
-def _zeros(shape, exact):
-    """A table of zeros: Fraction objects when ``exact``, floats otherwise."""
-    if exact:
-        return np.full(shape, Fraction(0), dtype=object)
-    return np.zeros(shape)
+def _int_dtype(bound):
+    """``int64`` when integers of magnitude up to ``bound`` fit, else Python ints."""
+    return np.int64 if bound < 2**63 else object
 
 
-def _table_sum(table, axis=None):
-    """``table.sum(axis)``, adding a table of Fractions on one denominator.
+def _is_rational(table) -> bool:
+    """True when every entry of an object array is an int or a Fraction."""
+    return all(issubclass(t, (int, Fraction)) for t in set(map(type, table.flat)))
 
-    The numerators are scaled to the least common multiple of the
-    denominators, summed as Python ints and divided once per output entry.
-    That gives the same Fractions as adding entry by entry, without a gcd
-    per addition.  Any other table is summed by numpy unchanged.
+
+def _common_denominator(values):
+    """``(numerators, D)`` of ints and Fractions over their least common
+    denominator ``D``.
+
+    The numerators keep the shape of ``values``; they are ``int64`` when
+    they fit, else Python ints in an object array.
     """
-    if table.dtype != object or not table.size or set(map(type, table.flat)) != {Fraction}:
-        return table.sum(axis=axis)
-    scale = {v.denominator for v in table.flat}
-    den = math.lcm(*scale)
-    scale = {d: den // d for d in scale}
-    summed = range(table.ndim) if axis is None else np.atleast_1d(axis) % table.ndim
-    kept = [ax for ax in range(table.ndim) if ax not in summed]
-    # One row per output entry, holding the entries that add up to it.
-    rows = table.transpose([*kept, *summed]).reshape(-1, math.prod(
-        table.shape[ax] for ax in summed))
-    sums = [
-        Fraction(sum(v.numerator * scale[v.denominator] for v in row), den)
-        for row in rows
-    ]
-    if not kept:
-        return sums[0]
-    return np.array(sums, dtype=object).reshape([table.shape[ax] for ax in kept])
+    arr = np.asarray(values, dtype=object)
+    flat = arr.ravel().tolist()
+    dens = [v.denominator for v in flat]
+    distinct = set(dens)
+    den = math.lcm(*distinct)
+    scale = {d: den // d for d in distinct}
+    nums = [v.numerator * scale[d] for v, d in zip(flat, dens)]
+    dtype = _int_dtype(max(map(abs, nums), default=0))
+    return np.array(nums, dtype=dtype).reshape(arr.shape), den
+
+
+def _float_array(values, field):
+    """``values`` as a float64 array whose entries are all finite."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field '{field}': entries must be numbers") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"field '{field}': entries must be finite")
+    return arr
 
 
 def as_fraction(value) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._num import _table_sum, _zeros
+from ._num import _common_denominator, _int_dtype
 from .beliefs import AtomicDist, conjugate
 from .errors import ValidationError
 from .structures import FiniteStructure, _posteriors, posterior_dist
@@ -82,21 +82,26 @@ def finite_disclosure(s: FiniteStructure) -> FiniteStructure:
     """
     if s.m != 2 or s.n != 1:
         raise ValidationError("finite disclosure needs m = 2 states and one agent")
-    atoms, value_map = _posteriors(s.pmf)
+    atoms, value_map = _posteriors(s._num, s._den)
     cuts = [1 - vec[1] for vec, _ in atoms]
     edges = sorted({0, 1, *cuts})
     pieces = list(zip(edges, edges[1:]))  # all positive length by dedup
 
     # Each piece lies entirely on one side of each value's cut: above it
     # the state is 1.  Zero-probability values carry zero mass either way.
-    probs = _table_sum(s.pmf, axis=0)
-    lengths = np.array([hi - lo for lo, hi in pieces], dtype=probs.dtype)
-    mass = np.multiply.outer(probs, lengths)
+    probs = s._num.sum(axis=0)
+    lengths, den = [hi - lo for lo, hi in pieces], None
+    if s.exact:
+        lengths, den = _common_denominator(lengths)
+        # Masses stay below the table total, under 2 * den.
+        dtype = _int_dtype(2 * s._den * den)
+        probs, den = probs.astype(dtype), s._den * den
+    mass = np.multiply.outer(probs, np.asarray(lengths, dtype=probs.dtype))
     above = np.array([[lo >= cut for lo, _ in pieces] for cut in cuts])[value_map]
-    pmf = _zeros((2, *mass.shape), s.exact)
+    pmf = np.zeros((2, *mass.shape), dtype=mass.dtype)
     pmf[1][above] = mass[above]
     pmf[0][~above] = mass[~above]
-    return FiniteStructure(pmf)
+    return FiniteStructure._of(pmf, den)
 
 
 def revelation_probability(s: FiniteStructure):

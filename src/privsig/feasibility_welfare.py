@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import _common_denominator, _int_dtype
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
@@ -150,7 +151,7 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     todo = sum(m for _, m in targets)
 
     k_n, j_n = len(u), len(targets)
-    pmf = np.full((2, k_n, j_n), u[0] * 0, dtype=u.dtype)
+    blocks = []  # (state, first row, end row, column, share of the column)
     free = gaps
     for t, (z, m) in enumerate(targets):
         if t < j_n - 1:
@@ -170,13 +171,22 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
         share, row = total * 0, 0
         for j, _, mass in window + [(k_n, None, 0)]:
             if j > row:
-                if share:
-                    pmf[1, row:j, t] = u[row:j] * share
-                if total - share:
-                    pmf[0, row:j, t] = u[row:j] * (total - share)
+                blocks += [(1, row, j, t, share), (0, row, j, t, total - share)]
                 row = j
             share += mass
-    return FiniteStructure(pmf)
+    values = [v for *_, v in blocks]
+    den = None
+    if exact:
+        # Row weights times column shares, on one common denominator each.
+        u, u_den = _common_denominator(u)
+        values, v_den = _common_denominator(values)
+        dtype = _int_dtype(2 * u_den * v_den)
+        u, values, den = u.astype(dtype), values.tolist(), u_den * v_den
+    pmf = np.zeros((2, k_n, j_n), dtype=u.dtype)
+    for (state, row, j, t, _), v in zip(blocks, values):
+        if v:
+            pmf[state, row:j, t] = u[row:j] * v
+    return FiniteStructure._of(pmf, den)
 
 
 # ---------------------------------------------------------------------------

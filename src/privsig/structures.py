@@ -26,8 +26,10 @@ from ._num import (
     PROBABILITY_TOL,
     TABLE_TOL,
     WEIGHT_DROP_TOL,
-    _table_sum,
-    _zeros,
+    _common_denominator,
+    _float_array,
+    _int_dtype,
+    _is_rational,
     as_fraction,
 )
 from .beliefs import AtomicDist, dists_close
@@ -172,104 +174,178 @@ class FiniteStructure:
     and each agent ``i`` observes signal value ``v_i``.  Entries are
     nonnegative and sum to 1 within 1e-12; every state must have positive
     marginal probability (common full-support prior).  The table is frozen
-    after construction; floats and Fractions are both supported.
+    after construction.  An object array whose entries are all ints and
+    Fractions is exact, and its ``pmf`` holds Fractions; any other table,
+    numeric arrays included, is converted to float64.
+
+    An exact table is kept as integer numerators over one common
+    denominator (notes/decisions.md, "Exact tables on one common
+    denominator"); its ``pmf`` is built from them on first access.
     """
 
     pmf: np.ndarray
 
     def __init__(self, pmf):
         arr = np.asarray(pmf)
-        if arr.dtype != object:
-            arr = arr.astype(float)
-        arr = arr.copy()
-        if arr.ndim < 2:
+        if arr.dtype == object and _is_rational(arr):
+            self._set(*_common_denominator(arr))
+        else:
+            self._set(_float_array(arr, "pmf"), None)
+
+    @classmethod
+    def _of(cls, num, den):
+        """The structure of numerators ``num`` over ``den``; floats when ``den`` is None."""
+        s = object.__new__(cls)
+        s._set(num, den)
+        return s
+
+    def _set(self, num, den):
+        if num.ndim < 2:
             raise ValidationError("pmf needs a state axis and at least one signal axis")
-        flat = arr.ravel()
-        # NaN fails every comparison; +inf passes this one but not the sum.
-        if not all(v >= 0 for v in flat.tolist()):
+        if num.size and not num.min() >= 0:
             raise ValidationError("field 'pmf': entries must be finite and nonnegative")
-        total = _table_sum(flat)
+        if den is None:
+            num = np.ascontiguousarray(num, dtype=float)
+            total = num.sum()
+        else:
+            # An int64 total wraps only if the entries could add up past 2**63.
+            if num.dtype != object and num.size * int(num.max(initial=0)) >= 2**63:
+                num = num.astype(object)
+            total = Fraction(int(num.sum()), den)
         if abs(total - 1) > TABLE_TOL:
             raise ValidationError(
                 f"field 'pmf': entries must be finite and sum to 1, got {total}"
             )
-        prior = _table_sum(arr.reshape(arr.shape[0], -1), axis=1)
-        if any(p <= 0 for p in prior.tolist()):
+        if not (num.reshape(num.shape[0], -1).sum(axis=1) > 0).all():
             raise ValidationError("every state needs positive prior probability")
-        arr.setflags(write=False)
-        object.__setattr__(self, "pmf", arr)
+        if den is not None:
+            g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+            # Entries and partial sums stay below the total, under 2 * den.
+            num = np.ascontiguousarray(num // g, dtype=_int_dtype(2 * den // g))
+            den //= g
+        else:
+            object.__setattr__(self, "pmf", num)
+        num.setflags(write=False)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    def __getattr__(self, name):
+        # Only ``pmf`` of an exact table is ever missing: build it once.
+        if name != "pmf" or "_num" not in self.__dict__:
+            raise AttributeError(name)
+        values, inverse = np.unique(self._num, return_inverse=True)
+        fractions = np.empty(len(values), dtype=object)
+        fractions[:] = [Fraction(v, self._den) for v in values.tolist()]
+        pmf = fractions[inverse.ravel()].reshape(self._num.shape)
+        pmf.setflags(write=False)
+        object.__setattr__(self, "pmf", pmf)
+        return pmf
 
     @classmethod
     def from_entries(cls, m, alphabet_sizes, entries, exact=False):
         """Build from a sparse list of ``(state, signals, p)`` entries."""
-        arr = _zeros((m, *alphabet_sizes), exact)
-        for state, signals, p in entries:
+        values = [as_fraction(p) if exact else float(p) for _, _, p in entries]
+        den = None
+        if exact:
+            values, den = _common_denominator(values)
+            values = values.tolist()
+        arr = np.zeros((m, *alphabet_sizes), dtype=object if exact else float)
+        for (state, signals, _), v in zip(entries, values):
             signals = tuple(signals)
             if not (0 <= state < m) or len(signals) != len(alphabet_sizes):
                 raise ValidationError(f"entry ({state}, {signals}) out of range")
-            arr[(state, *signals)] += as_fraction(p) if exact else float(p)
-        return cls(arr)
+            arr[(state, *signals)] += v
+        return cls._of(arr, den)
 
     @property
     def m(self) -> int:
-        return self.pmf.shape[0]
+        return self._num.shape[0]
 
     @property
     def n(self) -> int:
-        return self.pmf.ndim - 1
+        return self._num.ndim - 1
 
     @property
     def alphabet_sizes(self) -> tuple:
-        return self.pmf.shape[1:]
+        return self._num.shape[1:]
 
     @property
     def exact(self) -> bool:
-        return self.pmf.dtype == object
+        return self._den is not None
+
+    def _values(self, num):
+        """The probabilities that numerators ``num`` stand for, as a list."""
+        if self._den is None:
+            return num.tolist()
+        return [Fraction(v, self._den) for v in num.tolist()]
 
     @property
     def prior(self) -> tuple:
-        return tuple(_table_sum(self.pmf.reshape(self.m, -1), axis=1).tolist())
+        return tuple(self._values(self._num.reshape(self.m, -1).sum(axis=1)))
 
     def signal_marginal(self, agent: int) -> tuple:
         """Unconditional distribution of agent ``agent``'s signal value."""
         if not (0 <= agent < self.n):
             raise ValidationError(f"agent index {agent} out of range")
-        axes = tuple(ax for ax in range(self.pmf.ndim) if ax != 1 + agent)
-        return tuple(_table_sum(self.pmf, axis=axes).tolist())
+        axes = tuple(ax for ax in range(self._num.ndim) if ax != 1 + agent)
+        return tuple(self._values(self._num.sum(axis=axes)))
 
 
-def _posteriors(joint):
+def _group_rows(rows):
+    """Index of the first row of each group of equal rows, and each row's group.
+
+    One stable sort; rows compare by value, as tuples of their entries do.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group_of = np.empty(len(order), dtype=np.intp)
+    group_of[order] = np.cumsum(new) - 1
+    return order[new], group_of
+
+
+def _posteriors(joint, den=None):
     """Clustered Bayes posteriors of a ``(states, values)`` joint table.
 
-    The one place where signal values are grouped by the posterior they
-    induce.  Exact-duplicate posterior vectors are grouped first, so a
-    Fraction table takes one weighted mean per distinct posterior; the
-    groups are then clustered by :func:`_cluster`.  Returns ``(atoms,
-    value_map)``: the ``(posterior vector, weight)`` atoms sorted by vector,
-    and an integer array giving each value's atom index, or -1 for values
-    of probability zero.
+    ``joint`` holds floats, or integer numerators over ``den``.  The one
+    place where signal values are grouped by the posterior they induce.
+    Exact-duplicate posterior vectors are grouped first, in one sort: an
+    integer column's posterior is its gcd-reduced column up to scale, so a
+    Fraction is built once per distinct posterior.  Group weights are
+    summed in column order.  The groups are then clustered by
+    :func:`_cluster`.  Returns ``(atoms, value_map)``: the ``(posterior
+    vector, weight)`` atoms sorted by vector, and an integer array giving
+    each value's atom index, or -1 for values of probability zero.
     """
-    probs = _table_sum(joint, axis=0)
+    probs = joint.sum(axis=0)
     live = np.flatnonzero(probs > 0)
-    posts = (joint[:, live] / probs[live]).T.tolist()
-    groups = {}  # posterior vector -> [group index, total weight]
-    group_of = []
-    for vec, w in zip(posts, probs[live].tolist()):
-        g = groups.setdefault(tuple(vec), [len(groups), 0])
-        g[1] = g[1] + w
-        group_of.append(g[0])
-    atoms, label = _cluster(list(groups), [w for _, w in groups.values()])
+    cols, weights = joint[:, live].T, probs[live]
+    if den is None:
+        cols = cols / weights[:, None]
+    else:
+        cols = cols // np.gcd.reduce(cols, axis=1)[:, None]
+    first, group_of = _group_rows(cols)
+    totals = np.zeros(len(first), dtype=weights.dtype)
+    np.add.at(totals, group_of, weights)
+    if den is None:
+        vecs = [tuple(v) for v in cols[first].tolist()]
+        totals = totals.tolist()
+    else:
+        vecs = [tuple(Fraction(c, sum(v)) for c in v) for v in cols[first].tolist()]
+        totals = [Fraction(w, den) for w in totals.tolist()]
+    atoms, label = _cluster(vecs, totals)
     value_map = np.full(joint.shape[1], -1)
     value_map[live] = np.asarray(label, dtype=int)[group_of]
     return atoms, value_map
 
 
 def _agent_joint(s: FiniteStructure, agent: int):
-    """The ``(states, values)`` joint table of one agent's signal."""
+    """The ``(states, values)`` joint numerators of one agent's signal."""
     if not (0 <= agent < s.n):
         raise ValidationError(f"agent index {agent} out of range")
-    axes = tuple(ax for ax in range(1, s.pmf.ndim) if ax != 1 + agent)
-    return _table_sum(s.pmf, axis=axes) if axes else s.pmf
+    axes = tuple(ax for ax in range(1, s._num.ndim) if ax != 1 + agent)
+    return s._num.sum(axis=axes) if axes else s._num
 
 
 def _belief_dist(atoms):
@@ -288,12 +364,12 @@ def posterior_dist(s: FiniteStructure, agent: int):
     :class:`~privsig.beliefs.AtomicDist` over P(state = 1 | signal) when the
     state is binary, and a :class:`SimplexDist` otherwise.
     """
-    return _belief_dist(_posteriors(_agent_joint(s, agent))[0])
+    return _belief_dist(_posteriors(_agent_joint(s, agent), s._den)[0])
 
 
 def joint_posterior_dist(s: FiniteStructure):
     """Posterior distribution when the whole signal profile is observed."""
-    return _belief_dist(_posteriors(s.pmf.reshape(s.m, -1))[0])
+    return _belief_dist(_posteriors(s._num.reshape(s.m, -1), s._den)[0])
 
 
 def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
@@ -301,16 +377,27 @@ def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
 
     Checks that the joint signal marginal (state summed out) factors as the
     product of the per-agent signal marginals, within ``tol`` in total
-    variation.
+    variation.  An exact table compares ``joint * D**(n-1)`` with the
+    product of the marginal numerators, both over ``D**n``.
     """
-    joint = _table_sum(s.pmf, axis=0)
+    num, den = s._num, s._den
+    scale = 1
+    if den is not None:
+        scale = den ** (s.n - 1)
+        # Both sides stay within den**n, and so does half the TV sum.
+        num = num.astype(_int_dtype(2 * den ** s.n), copy=False)
+    joint = num.sum(axis=0)
     prod = np.ones((), dtype=joint.dtype)
     for agent in range(s.n):
-        marg = np.asarray(s.signal_marginal(agent), dtype=joint.dtype)
+        axes = tuple(ax for ax in range(num.ndim) if ax != 1 + agent)
         shape = [1] * s.n
         shape[agent] = -1
-        prod = prod * marg.reshape(shape)
-    tv = sum(abs(v) for v in (joint - prod).ravel().tolist()) / 2
+        prod = prod * num.sum(axis=axes).reshape(shape)
+    diff = (joint * scale - prod).ravel()
+    if den is None:
+        tv = sum(abs(v) for v in diff.tolist()) / 2
+    else:
+        tv = Fraction(int(np.abs(diff).sum()), 2 * scale * den)
     return tv <= tol
 
 
@@ -321,14 +408,7 @@ def require_private_private(s: FiniteStructure, tol=ORDER_TOL):
 
 def is_perfect(s: FiniteStructure) -> bool:
     """True iff every positive-probability signal profile pins down the state."""
-    flat = s.pmf.reshape(s.m, -1)
-    if flat.dtype == object:
-        for v in range(flat.shape[1]):
-            col = flat[:, v].tolist()
-            if sum(1 for c in col if c > 0) > 1:
-                return False
-        return True
-    positive = flat > 0
+    positive = s._num.reshape(s.m, -1) > 0
     return bool((positive.sum(axis=0) <= 1).all())
 
 
@@ -351,15 +431,15 @@ def direct_revelation(s: FiniteStructure) -> FiniteStructure:
     equivalent to the input, and its k-th signal value induces the k-th
     smallest posterior vector (notes/decisions.md, "Posterior clustering").
     """
-    out = s.pmf
+    out = s._num
     for agent in range(s.n):
-        _, value_map = _posteriors(_agent_joint(s, agent))
+        _, value_map = _posteriors(_agent_joint(s, agent), s._den)
         order = np.argsort(value_map, kind="stable")
         order = order[value_map[order] >= 0]
         starts = np.flatnonzero(np.diff(value_map[order], prepend=-1))
         grouped = np.take(out, order, axis=1 + agent)
         out = np.add.reduceat(grouped, starts, axis=1 + agent)
-    return FiniteStructure(out)
+    return FiniteStructure._of(out, s._den)
 
 
 def garble(s: FiniteStructure, agent: int, kernel) -> FiniteStructure:
@@ -368,18 +448,29 @@ def garble(s: FiniteStructure, agent: int, kernel) -> FiniteStructure:
     ``kernel[v_old, v_new]`` is a row-stochastic matrix applied independently
     of the state and of the other signals, so privacy and the other agents'
     posteriors are untouched while agent ``agent`` is Blackwell-weakened.
+    The result is exact when the table is exact and the kernel is an
+    object array of ints and Fractions; otherwise it is a float table.
     """
     kern = np.asarray(kernel)
-    if kern.dtype != object:
-        kern = kern.astype(float)
+    exact = s.exact and kern.dtype == object and _is_rational(kern)
+    if exact:
+        kern, kden = _common_denominator(kern)
+    else:
+        kern = _float_array(kern, "kernel")
     if kern.ndim != 2 or kern.shape[0] != s.alphabet_sizes[agent]:
-        raise ValidationError("kernel shape does not match the agent's alphabet")
+        raise ValidationError("field 'kernel': shape does not match the agent's alphabet")
     for row in kern.tolist():
-        if any(v < 0 for v in row) or abs(sum(row) - 1) > PROBABILITY_TOL:
-            raise ValidationError("kernel rows must be probability vectors")
-    moved = np.moveaxis(s.pmf, 1 + agent, -1)
-    new = np.dot(moved, kern)
-    return FiniteStructure(np.moveaxis(new, -1, 1 + agent))
+        total = Fraction(sum(row), kden) if exact else sum(row)
+        if any(v < 0 for v in row) or abs(total - 1) > PROBABILITY_TOL:
+            raise ValidationError("field 'kernel': rows must be probability vectors")
+    if exact:
+        # Each new entry is at most the table total times a row total.
+        dtype = _int_dtype(2 * s._den * kden)
+        table, kern, den = s._num.astype(dtype, copy=False), kern.astype(dtype), s._den * kden
+    else:
+        table, den = np.asarray(s.pmf, dtype=float), None
+    new = np.dot(np.moveaxis(table, 1 + agent, -1), kern)
+    return FiniteStructure._of(np.moveaxis(new, -1, 1 + agent), den)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +601,9 @@ def build_associated_set(s: FiniteStructure) -> RegionSet:
     marg2 = [as_fraction(v) for v in s.signal_marginal(1)]
     edges1 = _cum_edges(marg1)
     edges2 = _cum_edges(marg2)
-    joint1 = s.pmf[1]  # P(state = 1, v1, v2)
-    joint = _table_sum(s.pmf, axis=0)
+    # P(state = 1 | v1, v2) is a ratio of numerators, whatever their scale.
+    joint1 = s._num[1].tolist()
+    joint = s._num.sum(axis=0).tolist()
     bands = []
     for v1 in range(len(marg1)):
         if marg1[v1] == 0:
@@ -519,10 +611,10 @@ def build_associated_set(s: FiniteStructure) -> RegionSet:
         for v2 in range(len(marg2)):
             if marg2[v2] == 0:
                 continue
-            p12 = as_fraction(joint[v1, v2])
+            p12 = as_fraction(joint[v1][v2])
             if p12 == 0:
                 continue
-            q = as_fraction(joint1[v1, v2]) / p12
+            q = as_fraction(joint1[v1][v2]) / p12
             q = min(max(q, Fraction(0)), Fraction(1))
             if q == 0:
                 continue
@@ -626,10 +718,11 @@ class FuzzyGrid:
             raise ValidationError("grid must have the same resolution on every axis")
         flat = arr.reshape(-1, arr.shape[-1])
         for row in flat.tolist():
-            if any(v < -TABLE_TOL for v in row):
-                raise ValidationError("cell values must be nonnegative")
+            # NaN fails every comparison; +inf passes this one but not the sum.
+            if not all(v >= -TABLE_TOL for v in row):
+                raise ValidationError("field 'cells': values must be finite and nonnegative")
             if abs(sum(row) - 1) > PROBABILITY_TOL:
-                raise ValidationError("cell vectors must sum to 1")
+                raise ValidationError("field 'cells': vectors must be finite and sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -704,26 +797,23 @@ def structure_from_grid(grid, exact=False) -> FiniteStructure:
     else:
         raise ValidationError(f"unsupported grid type {type(grid).__name__}")
 
-    r = grid.resolution
-    n = grid.n
-    n_cells = r ** n
+    n_cells = grid.resolution ** grid.n
     if labels is not None:
         occupied = sorted(set(labels.ravel().tolist()))
-        m = len(occupied)
-        pmf = _zeros((m, *labels.shape), exact)
-        cell_p = Fraction(1, n_cells) if exact else 1.0 / n_cells
-        for k, lab in enumerate(occupied):
-            pmf[k][labels == lab] = cell_p
-        return FiniteStructure(pmf)
+        cells = np.stack([labels == lab for lab in occupied])
+        if exact:
+            return FiniteStructure._of(cells.astype(np.int64), n_cells)
+        return FiniteStructure._of(cells * (1.0 / n_cells), None)
 
-    m = vectors.shape[-1]
     pmf = np.moveaxis(vectors, -1, 0)
     if exact or vectors.dtype == object:
         pmf = np.vectorize(as_fraction, otypes=[object])(pmf)
-    pmf = pmf / n_cells
-    marg = _table_sum(pmf.reshape(m, -1), axis=1)
-    keep = [k for k in range(m) if marg[k] > 0]
-    return FiniteStructure(pmf[keep])
+        pmf, den = _common_denominator(pmf)
+        den *= n_cells
+    else:
+        pmf, den = pmf / n_cells, None
+    keep = pmf.reshape(len(pmf), -1).sum(axis=1) > 0
+    return FiniteStructure._of(pmf[keep], den)
 
 
 # ---------------------------------------------------------------------------

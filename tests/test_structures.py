@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from privsig import (
     FiniteStructure,
+    FuzzyGrid,
     PrivacyError,
     SimplexDist,
     ValidationError,
@@ -58,6 +59,14 @@ class TestValidation:
             FiniteStructure(np.array([[0.5, bad], [0.25, 0.25]]))
         with pytest.raises(ValidationError, match="'pmf'.*finite"):
             FiniteStructure(np.array([[F(1, 2), bad], [F(1, 4), F(1, 4)]], dtype=object))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_fuzzy_grid_rejects_non_finite_cells(self, bad, dtype):
+        cells = np.full((2, 2, 2), F(1, 2), dtype=object)
+        cells[0, 1] = [bad, 0.5]
+        with pytest.raises(ValidationError, match="'cells'"):
+            FuzzyGrid(cells.astype(dtype))
 
     def test_immutable(self):
         s = symmetric_binary_signal(F(3, 4))
@@ -223,6 +232,11 @@ class TestGarble:
     def test_kernel_validation(self, blocks):
         with pytest.raises(ValidationError):
             garble(blocks, 0, np.array([[0.5, 0.4]] * 4))
+
+    def test_nan_kernel_row_names_the_kernel(self, blocks):
+        kernel = np.array([[0.5, 0.5]] * 3 + [[float("nan"), 1.0]])
+        with pytest.raises(ValidationError, match="'kernel'"):
+            garble(blocks, 0, kernel)
 
 
 class TestSecretSplit:
