@@ -8,9 +8,9 @@ generators and answer canonicalizer from its ``perfbench/``.  The trees run
 alternately, ``--runs`` times each, and every case reports the median over
 all of its timed calls.  A case's answers from the two trees are compared
 through ``perfbench.checks.canon``, so a faster wrong answer shows as
-``"same_answer": false``.  Timings are wall time on one thread; results
-built lazily (the ``pmf`` of an exact table) are built after the clock
-stops, and the change-only ``pmf`` case times that first access.
+``"same_answer": false``.  Timings are wall time on one thread and
+include building every returned structure's ``pmf``.  The ``targets``
+block reads the time limits of the change off the cases.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import random
 import statistics
@@ -47,13 +48,11 @@ def cases():
     out.append(("FiniteStructure(pmf)", "exact", {"shape": list(pmf.shape)},
                 lambda: privsig.FiniteStructure(pmf)))
     if hasattr(cert, "_num"):
-        # Change only: the validation the certificate itself now runs, and
-        # the first access to a lazily built pmf.
+        # Change only: the constructor the builders run on numerators,
+        # validation and the pmf of Fractions together.
         num, den = cert._num, cert._den
         out.append(("FiniteStructure._of(numerators)", "exact", {"shape": list(pmf.shape)},
                     lambda: privsig.FiniteStructure._of(num, den)))
-        out.append(("pmf (first access)", "exact", {"shape": list(pmf.shape)},
-                    lambda: privsig.FiniteStructure._of(num, den).pmf))
     for exact in (True, False):
         for m in GRID_M:
             for r in GRID_R:
@@ -83,6 +82,17 @@ def cases():
                      lambda s=s: privsig.check_quadratic_bound(s)),
                 ]
     return out
+
+
+#: (target, op, path, size, limit in seconds) that the change must meet.
+TARGETS = (
+    ("exact k=256 feasibility_certificate under 0.1 s",
+     "feasibility_certificate", "exact", {"k": CERT_K}, 0.1),
+    ("FiniteStructure.__init__ on the certificate table under 5 ms",
+     "FiniteStructure(pmf)", "exact", {"shape": [2, CERT_K, CERT_K + 1]}, 0.005),
+    ("float r=64 joint_posterior_dist under 2 ms",
+     "joint_posterior_dist", "float", {"m": 2, "r": 64}, 0.002),
+)
 
 
 def key(op, path, size):
@@ -134,7 +144,7 @@ def main(argv=None):
             samples[side].append(measure(trees[side], args.repeats))
     import numpy
 
-    rows = []
+    rows, medians = [], {}
     for case in samples["change"][0]:
         op, path, size = json.loads(case)
         row = {"op": op, "path": path, **size}
@@ -150,15 +160,32 @@ def main(argv=None):
             row["speedup"] = row["same_answer"] = None
             row["repeatable_answer"] = len(answers) == 1
         rows.append(row)
+        medians[case] = row["change_median_s"]
+    targets = {}
+    for name, op, path, size, limit in TARGETS:
+        median = medians[key(op, path, size)]
+        targets[name] = {"change_median_s": median, "met": median < limit}
     doc = {
+        "host": f"{platform.machine()}, {os.cpu_count()} CPUs, {platform.system()}",
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "method": (
             f"Median wall time over {args.runs} alternating runs per tree of {args.repeats} "
-            "calls each after one warm-up call, each tree in its own interpreter "
-            "(notes/bench_exact_tables.py)."
+            "calls each after one warm-up call, each tree in its own interpreter: "
+            f"python notes/bench_exact_tables.py PARENT_TREE CHANGE_TREE --runs {args.runs} "
+            f"--repeats {args.repeats}. Inputs: the certificate pair is "
+            "perfbench.workloads.pair_atoms(random.Random('bench7/cert'), 256, True)[:2]; "
+            "grid structures are structure_from_grid(GridPartition(random_cells("
+            "random.Random(f'bench7/{m}/{r}'), r, m))), equivalent compares with a row- and "
+            "column-permuted grid, and garble uses an exact r x 4 kernel of integers 1..8 "
+            "over their row sums. 'FiniteStructure(pmf)' is the public constructor on the "
+            "certificate's 2x256x257 table of Fractions; 'FiniteStructure._of(numerators)' "
+            "is the change's internal constructor on the same table, which the builders run, "
+            "and is not a target. same_answer compares perfbench.checks.canon of each answer, "
+            "which tells Fractions, ints and float bits apart."
         ),
         "cases": rows,
+        "targets": targets,
     }
     text = json.dumps(doc, indent=1)
     if args.out:

@@ -53,9 +53,14 @@ def _int_dtype(bound):
     return np.int64 if bound < 2**63 else object
 
 
+def _entries_are(table, kinds) -> bool:
+    """True when every entry of an object array is an instance of ``kinds``."""
+    return all(issubclass(t, kinds) for t in set(map(type, table.flat)))
+
+
 def _is_rational(table) -> bool:
     """True when every entry of an object array is an int or a Fraction."""
-    return all(issubclass(t, (int, Fraction)) for t in set(map(type, table.flat)))
+    return _entries_are(table, (int, Fraction))
 
 
 def _common_denominator(values):
@@ -76,10 +81,35 @@ def _common_denominator(values):
     return np.array(nums, dtype=dtype).reshape(arr.shape), den
 
 
+def _product_operands(num, den, values):
+    """Numerators ``num`` over ``den`` and the Fractions ``values``, ready
+    to multiply: ``(num, values_num, den * D)`` with ``D`` the common
+    denominator of ``values``.
+
+    The products the callers form are probabilities, a table cell times a
+    probability or sums of such over cells of one table, so every product
+    and partial sum of numerators stays under ``2 * den * D``.  Both arrays
+    are ``int64`` only when that bound fits, else Python ints; values too
+    large for ``int64`` (an invalid kernel, say) stay Python ints as well.
+    """
+    values_num, values_den = _common_denominator(values)
+    dtype = _int_dtype(2 * den * values_den)
+    if values_num.dtype == object:
+        dtype = object
+    return num.astype(dtype, copy=False), values_num.astype(dtype), den * values_den
+
+
 def _float_array(values, field):
-    """``values`` as a float64 array whose entries are all finite."""
+    """``values`` as a float64 array whose entries are all finite numbers.
+
+    An object array may hold ints, floats, Fractions and NumPy numbers;
+    anything else, a numeric string say, is refused rather than parsed.
+    """
     try:
-        arr = np.array(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype == object and not _entries_are(arr, (int, float, Fraction, np.number)):
+            raise TypeError(f"field '{field}' holds a non-numeric object")
+        arr = arr.astype(float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"field '{field}': entries must be numbers") from exc
     if not np.isfinite(arr).all():

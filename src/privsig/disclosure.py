@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._num import _common_denominator, _int_dtype
+from ._num import _product_operands
 from .beliefs import AtomicDist, conjugate
 from .errors import ValidationError
 from .structures import FiniteStructure, _posteriors, posterior_dist
@@ -92,10 +92,7 @@ def finite_disclosure(s: FiniteStructure) -> FiniteStructure:
     probs = s._num.sum(axis=0)
     lengths, den = [hi - lo for lo, hi in pieces], None
     if s.exact:
-        lengths, den = _common_denominator(lengths)
-        # Masses stay below the table total, under 2 * den.
-        dtype = _int_dtype(2 * s._den * den)
-        probs, den = probs.astype(dtype), s._den * den
+        probs, lengths, den = _product_operands(probs, s._den, lengths)
     mass = np.multiply.outer(probs, np.asarray(lengths, dtype=probs.dtype))
     above = np.array([[lo >= cut for lo, _ in pieces] for cut in cuts])[value_map]
     pmf = np.zeros((2, *mass.shape), dtype=mass.dtype)

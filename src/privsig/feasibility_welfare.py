@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import _common_denominator, _int_dtype
+from ._num import _common_denominator, _product_operands
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
@@ -178,10 +178,8 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     den = None
     if exact:
         # Row weights times column shares, on one common denominator each.
-        u, u_den = _common_denominator(u)
-        values, v_den = _common_denominator(values)
-        dtype = _int_dtype(2 * u_den * v_den)
-        u, values, den = u.astype(dtype), values.tolist(), u_den * v_den
+        u, values, den = _product_operands(*_common_denominator(u), values)
+        values = values.tolist()
     pmf = np.zeros((2, k_n, j_n), dtype=u.dtype)
     for (state, row, j, t, _), v in zip(blocks, values):
         if v:

@@ -30,6 +30,7 @@ from ._num import (
     _float_array,
     _int_dtype,
     _is_rational,
+    _product_operands,
     as_fraction,
 )
 from .beliefs import AtomicDist, dists_close
@@ -180,7 +181,8 @@ class FiniteStructure:
 
     An exact table is kept as integer numerators over one common
     denominator (notes/decisions.md, "Exact tables on one common
-    denominator"); its ``pmf`` is built from them on first access.
+    denominator"); its ``pmf`` is built from them at construction, one
+    Fraction per distinct numerator.
     """
 
     pmf: np.ndarray
@@ -218,28 +220,22 @@ class FiniteStructure:
             )
         if not (num.reshape(num.shape[0], -1).sum(axis=1) > 0).all():
             raise ValidationError("every state needs positive prior probability")
-        if den is not None:
+        if den is None:
+            pmf = num
+        else:
             g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
             # Entries and partial sums stay below the total, under 2 * den.
             num = np.ascontiguousarray(num // g, dtype=_int_dtype(2 * den // g))
             den //= g
-        else:
-            object.__setattr__(self, "pmf", num)
+            values, inverse = np.unique(num, return_inverse=True)
+            fractions = np.empty(len(values), dtype=object)
+            fractions[:] = [Fraction(v, den) for v in values.tolist()]
+            pmf = fractions[inverse.reshape(num.shape)]
+            pmf.setflags(write=False)
         num.setflags(write=False)
+        object.__setattr__(self, "pmf", pmf)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
-
-    def __getattr__(self, name):
-        # Only ``pmf`` of an exact table is ever missing: build it once.
-        if name != "pmf" or "_num" not in self.__dict__:
-            raise AttributeError(name)
-        values, inverse = np.unique(self._num, return_inverse=True)
-        fractions = np.empty(len(values), dtype=object)
-        fractions[:] = [Fraction(v, self._den) for v in values.tolist()]
-        pmf = fractions[inverse.ravel()].reshape(self._num.shape)
-        pmf.setflags(write=False)
-        object.__setattr__(self, "pmf", pmf)
-        return pmf
 
     @classmethod
     def from_entries(cls, m, alphabet_sizes, entries, exact=False):
@@ -454,21 +450,16 @@ def garble(s: FiniteStructure, agent: int, kernel) -> FiniteStructure:
     kern = np.asarray(kernel)
     exact = s.exact and kern.dtype == object and _is_rational(kern)
     if exact:
-        kern, kden = _common_denominator(kern)
+        table, kern, den = _product_operands(s._num, s._den, kern)
+        kden = den // s._den
     else:
-        kern = _float_array(kern, "kernel")
+        table, kern, den = np.asarray(s.pmf, dtype=float), _float_array(kern, "kernel"), None
     if kern.ndim != 2 or kern.shape[0] != s.alphabet_sizes[agent]:
         raise ValidationError("field 'kernel': shape does not match the agent's alphabet")
     for row in kern.tolist():
         total = Fraction(sum(row), kden) if exact else sum(row)
         if any(v < 0 for v in row) or abs(total - 1) > PROBABILITY_TOL:
             raise ValidationError("field 'kernel': rows must be probability vectors")
-    if exact:
-        # Each new entry is at most the table total times a row total.
-        dtype = _int_dtype(2 * s._den * kden)
-        table, kern, den = s._num.astype(dtype, copy=False), kern.astype(dtype), s._den * kden
-    else:
-        table, den = np.asarray(s.pmf, dtype=float), None
     new = np.dot(np.moveaxis(table, 1 + agent, -1), kern)
     return FiniteStructure._of(np.moveaxis(new, -1, 1 + agent), den)
 

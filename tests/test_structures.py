@@ -60,6 +60,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="'pmf'.*finite"):
             FiniteStructure(np.array([[F(1, 2), bad], [F(1, 4), F(1, 4)]], dtype=object))
 
+    def test_rejects_numeric_strings_in_object_tables(self):
+        strings = np.array([["0.5", "0.25"], ["0", "0.25"]], dtype=object)
+        with pytest.raises(ValidationError, match="'pmf'.*numbers"):
+            FiniteStructure(strings)
+        s = FiniteStructure(np.array([[0.5, 0.25], [0.0, 0.25]]))
+        kernel = np.array([["1", "0"], ["0", "1"]], dtype=object)
+        with pytest.raises(ValidationError, match="'kernel'.*numbers"):
+            garble(s, 0, kernel)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("dtype", [float, object])
     def test_fuzzy_grid_rejects_non_finite_cells(self, bad, dtype):
