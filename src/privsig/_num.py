@@ -120,12 +120,16 @@ def _float_array(values, field):
 def as_fraction(value) -> Fraction:
     """Coerce ``value`` to an exact Fraction.
 
-    Accepts int, Fraction, strings like ``"3/4"``, and floats.  Floats are
-    converted exactly (every float is a dyadic rational), so round-tripping
-    through this helper never introduces error.
+    Accepts int, Fraction, NumPy integers, strings like ``"3/4"``, and
+    floats.  Floats are converted exactly (every float is a dyadic
+    rational), so round-tripping through this helper never introduces
+    error.  A NumPy integer becomes a Python int first, so no ``int64``
+    ends up inside the Fraction.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, np.integer):
+        return Fraction(int(value))
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)

@@ -48,14 +48,15 @@ def _probability_vector(values, name):
 def solve_zero_sum(u):
     """Mixed equilibrium of a zero-sum game from the row player's payoffs.
 
-    Solves the maximin LP for each player and checks the two values agree.
+    Solves the maximin LP for each player and checks that the two exact
+    values are equal, as LP duality says they are.
     Returns ``(strategy1, strategy2, value)`` with exact rational entries.
     """
     table = _table(u)
     n1, n2 = len(table), len(table[0])
     sigma1, v1 = _maximin(table, n1, n2, row_player=True)
     sigma2, v2 = _maximin(table, n1, n2, row_player=False)
-    if abs(v1 - v2) > Fraction(1, 10**9):
+    if v1 != v2:
         raise ArithmeticError("maximin values of the two players disagree")
     return sigma1, sigma2, v1
 

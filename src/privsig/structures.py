@@ -74,22 +74,27 @@ class SimplexDist:
         if not pairs:
             raise ValidationError("a simplex distribution needs at least one atom")
         m = len(pairs[0][0])
+        tols = (TABLE_TOL, PROBABILITY_TOL, WEIGHT_DROP_TOL)
+        if m and isinstance(pairs[0][0][0], Fraction):
+            # Comparing a Fraction with a float converts the float each time.
+            tols = tuple(map(Fraction, tols))
+        table_tol, probability_tol, drop_tol = tols
         for vec, w in pairs:
             if len(vec) != m:
                 raise ValidationError("posterior vectors have mixed lengths")
-            if any(c < -TABLE_TOL for c in vec):
+            if any(c < -table_tol for c in vec):
                 raise ValidationError(f"posterior {vec} has a negative entry")
-            if abs(sum(vec) - 1) > PROBABILITY_TOL:
+            if abs(sum(vec) - 1) > probability_tol:
                 raise ValidationError(f"posterior {vec} is off the simplex")
             if w < 0:
                 raise ValidationError(f"negative weight {w}")
-        pairs = [(v, w) for v, w in pairs if w > WEIGHT_DROP_TOL]
+        pairs = [(v, w) for v, w in pairs if w > drop_tol]
         if merge:
             merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
         else:
             merged = sorted(pairs, key=lambda p: p[0])
         total = sum(w for _, w in merged)
-        if abs(total - 1) > TABLE_TOL:
+        if abs(total - 1) > table_tol:
             raise ValidationError(f"weights sum to {total}, expected 1")
         if total != 1:
             merged = [(v, w / total) for v, w in merged]

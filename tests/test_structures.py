@@ -31,6 +31,7 @@ from privsig.catalog import (
     symmetric_binary_signal,
     two_bit_structure,
 )
+from privsig._num import PROBABILITY_TOL, TABLE_TOL, WEIGHT_DROP_TOL
 from privsig.structures import POSTERIOR_MERGE_TOL, structure_from_grid
 from conftest import random_private_structure, three_state_binary_signal
 
@@ -76,6 +77,22 @@ class TestValidation:
         cells[0, 1] = [bad, 0.5]
         with pytest.raises(ValidationError, match="'cells'"):
             FuzzyGrid(cells.astype(dtype))
+
+    def test_exact_simplex_dist_tolerances_are_inclusive(self):
+        # Exact atoms meet the float tolerances exactly at their boundary.
+        table, prob, drop = (F(t) for t in (TABLE_TOL, PROBABILITY_TOL, WEIGHT_DROP_TOL))
+        tiny = F(1, 2**80)
+        assert SimplexDist([((-table, 1 + table), F(1))]).atoms[0][1] == 1
+        with pytest.raises(ValidationError, match="negative entry"):
+            SimplexDist([((-table - tiny, 1 + table + tiny), F(1))])
+        assert SimplexDist([((F(0), 1 + prob), F(1))]).atoms[0][1] == 1
+        with pytest.raises(ValidationError, match="off the simplex"):
+            SimplexDist([((F(0), 1 + prob + tiny), F(1))])
+        kept, dropped = ((F(1), F(0)), F(1)), ((F(0), F(1)), drop)
+        assert len(SimplexDist([kept, dropped]).atoms) == 1
+        assert len(SimplexDist([kept, (dropped[0], drop + tiny)]).atoms) == 2
+        with pytest.raises(ValidationError, match="weights sum"):
+            SimplexDist([((F(1), F(0)), 1 + table + tiny)])
 
     def test_immutable(self):
         s = symmetric_binary_signal(F(3, 4))
