@@ -38,9 +38,13 @@ class LpResult:
 
 
 def _integer_row(values, field):
-    """Exact ``values`` as ``(numerators, D)`` over their least common denominator."""
+    """Exact ``values`` as ``(numerators, D)`` over their least common denominator.
+
+    Ints and Fractions are read as they are; anything else goes through
+    :func:`as_fraction`.
+    """
     try:
-        fracs = [as_fraction(v) for v in values]
+        fracs = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
     except ValidationError as exc:
         raise ValidationError(f"field '{field}': {exc}") from None
     den = math.lcm(*(f.denominator for f in fracs))

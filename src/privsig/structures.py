@@ -9,7 +9,10 @@ rectangles carrying diagonal fractional bands), and resolution-R grids
 (:class:`GridSet` / :class:`GridPartition` / :class:`FuzzyGrid`).
 
 Tables may hold floats or Fractions; rectangle and band geometry is always
-exact rational arithmetic so that rasterized areas are closed-form.
+exact rational arithmetic.  Rasterized areas come from one closed form per
+band, the second antiderivative of its diagonal profile, evaluated on
+integer numerators (notes/decisions.md, "Rasterize by a second
+antiderivative").
 """
 
 from __future__ import annotations
@@ -697,9 +700,34 @@ class GridPartition:
         return GridSet(self.cells == state)
 
 
+def _exact_cells_invalid(flat):
+    """For each cell vector of ints and Fractions in ``flat``: whether an
+    entry is below ``-TABLE_TOL``, and whether the total misses 1 by more
+    than ``PROBABILITY_TOL``.
+
+    Both tests read integer numerators over one common denominator ``D``,
+    with each tolerance taken exactly, as comparing a Fraction with a float
+    does: a numerator ``v`` passes iff ``v >= -floor(TABLE_TOL * D)``, a
+    total ``t`` iff ``|t - D| <= floor(PROBABILITY_TOL * D)``.
+    """
+    num, den = _common_denominator(flat)
+    # Row totals and their distance to den stay below this bound.
+    bound = (flat.shape[-1] + 1) * max(den, int(abs(num).max(initial=0)))
+    num = num.astype(_int_dtype(bound), copy=False)
+    table_tol = math.floor(Fraction(TABLE_TOL) * den)
+    probability_tol = math.floor(Fraction(PROBABILITY_TOL) * den)
+    return (num < -table_tol).any(axis=1), abs(num.sum(axis=1) - den) > probability_tol
+
+
 @dataclass(frozen=True)
 class FuzzyGrid:
-    """Resolution-R grid whose cells hold probability vectors over states."""
+    """Resolution-R grid whose cells hold probability vectors over states.
+
+    Entries may fall below 0 by ``TABLE_TOL`` and a cell's total may miss 1
+    by ``PROBABILITY_TOL``.  A grid of ints and Fractions is checked on its
+    integer numerators over one common denominator, with the same verdicts
+    as comparing each value with the float tolerances.
+    """
 
     cells: np.ndarray
 
@@ -713,12 +741,19 @@ class FuzzyGrid:
         if len(set(arr.shape[:-1])) != 1:
             raise ValidationError("grid must have the same resolution on every axis")
         flat = arr.reshape(-1, arr.shape[-1])
-        for row in flat.tolist():
+        if arr.dtype == object and _is_rational(flat):
+            negative, off = _exact_cells_invalid(flat)
+        else:
+            rows = flat.tolist()
             # NaN fails every comparison; +inf passes this one but not the sum.
-            if not all(v >= -TABLE_TOL for v in row):
+            negative = [not all(v >= -TABLE_TOL for v in row) for row in rows]
+            off = [abs(sum(row) - 1) > PROBABILITY_TOL for row in rows]
+        bad = np.logical_or(negative, off)
+        if bad.any():
+            # The first bad cell names the fault, its sign test first.
+            if negative[int(np.argmax(bad))]:
                 raise ValidationError("field 'cells': values must be finite and nonnegative")
-            if abs(sum(row) - 1) > PROBABILITY_TOL:
-                raise ValidationError("field 'cells': vectors must be finite and sum to 1")
+            raise ValidationError("field 'cells': vectors must be finite and sum to 1")
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
 
@@ -816,49 +851,58 @@ def structure_from_grid(grid, exact=False) -> FiniteStructure:
 # Exact rasterization of banded regions
 # ---------------------------------------------------------------------------
 
-def _band_area_in_window(band: Band, u0, u1, v0, v1) -> Fraction:
-    """Exact area of the band inside the absolute window [u0,u1]x[v0,v1].
+def _band_window_areas(band: Band, u_edges, v_edges):
+    """Areas of ``band`` in the windows between consecutive edges.
 
-    After clipping to the band's rectangle and normalizing coordinates, the
-    band is ``{(x, y) : frac(x + y) in Y}``; its intersection with an axis-
-    aligned window is a union of trapezoids, integrated in closed form: the
-    cross-section length of the window at diagonal level ``s = x + y`` is a
-    piecewise-linear "tent" and the area is its integral over the translates
-    ``Y`` and ``Y + 1``.
+    ``u_edges`` and ``v_edges`` are increasing Fractions within the band's
+    rectangle.  Returns ``(areas, scale)``: the window between ``u_edges[t]``,
+    ``u_edges[t + 1]`` and ``v_edges[k]``, ``v_edges[k + 1]`` holds area
+    ``areas[t, k] * scale``, with ``areas`` integers.
+
+    In the rectangle's normalized coordinates the band is where ``g(x + y)``
+    is 1, ``g`` the indicator of ``Y`` and ``Y + 1`` on [0, 2].  With ``G2``
+    the second antiderivative of ``g`` from 0, the area in the window
+    [p0,p1]x[q0,q1] is ``G2(p1+q1) - G2(p0+q1) - G2(p1+q0) + G2(p0+q0)``
+    times the rectangle's area.  ``G2`` is piecewise quadratic, so on edges
+    and ends of ``Y`` over one common denominator ``N`` it takes integer
+    values over ``2 N**2``, one per lattice sum (notes/decisions.md,
+    "Rasterize by a second antiderivative").
     """
     (a1, b1), (a2, b2) = band.rect
-    u0, u1 = max(u0, a1), min(u1, b1)
-    v0, v1 = max(v0, a2), min(v1, b2)
-    if u0 >= u1 or v0 >= v1:
-        return Fraction(0)
     w1, w2 = b1 - a1, b2 - a2
-    p0, p1 = (u0 - a1) / w1, (u1 - a1) / w1
-    q0, q1 = (v0 - a2) / w2, (v1 - a2) / w2
-
-    def tent(sv):
-        lo = max(p0, sv - q1)
-        hi = min(p1, sv - q0)
-        return hi - lo if hi > lo else Fraction(0)
-
-    corners = sorted({p0 + q0, p0 + q1, p1 + q0, p1 + q1})
-    area = Fraction(0)
-    for lo, hi in band.y_set:
-        for shift in (0, 1):
-            c, d = lo + shift, hi + shift
-            for s0, s1 in zip(corners, corners[1:]):
-                e0, e1 = max(s0, c), min(s1, d)
-                if e1 > e0:
-                    area += (e1 - e0) * (tent(e0) + tent(e1)) / 2
-    return area * w1 * w2
+    p = [(u - a1) / w1 for u in u_edges]
+    q = [(v - a2) / w2 for v in v_edges]
+    ends = [e + shift for lo, hi in band.y_set if lo < hi
+            for shift in (0, 1) for e in (lo, hi)]
+    num, n = _common_denominator(p + q + ends)
+    # Lattice sums are at most 2N; G2 and its four-term differences stay
+    # below 8 N**2 in magnitude.
+    num = num.astype(_int_dtype(8 * n * n), copy=False)
+    h = len(p)
+    sums = num[:h, None] + num[None, h:h + len(q)]
+    g2 = np.zeros_like(sums)
+    for c, d in num[h + len(q):].reshape(-1, 2).tolist():
+        inside = np.minimum(np.maximum(sums, c), d) - c
+        g2 += inside * inside + 2 * (d - c) * np.maximum(sums - d, 0)
+    areas = g2[1:, 1:] - g2[:-1, 1:] - g2[1:, :-1] + g2[:-1, :-1]
+    return areas, w1 * w2 / (2 * n * n)
 
 
 def region_area_in_window(region: RegionSet, u0, u1, v0, v1) -> Fraction:
-    """Exact area of the region inside an axis-aligned window."""
+    """Exact area of the region inside an axis-aligned window.
+
+    A window that is inverted or misses the region has area 0.
+    """
     u0, u1, v0, v1 = (as_fraction(v) for v in (u0, u1, v0, v1))
-    return sum(
-        (_band_area_in_window(b, u0, u1, v0, v1) for b in region.bands),
-        Fraction(0),
-    )
+    area = Fraction(0)
+    for band in region.bands:
+        (a1, b1), (a2, b2) = band.rect
+        lo1, hi1 = max(u0, a1), min(u1, b1)
+        lo2, hi2 = max(v0, a2), min(v1, b2)
+        if lo1 < hi1 and lo2 < hi2:
+            areas, scale = _band_window_areas(band, [lo1, hi1], [lo2, hi2])
+            area += int(areas[0, 0]) * scale
+    return area
 
 
 def rasterize(region: RegionSet, resolution: int) -> FuzzyGrid:
@@ -866,31 +910,38 @@ def rasterize(region: RegionSet, resolution: int) -> FuzzyGrid:
 
     Each cell holds the exact area fraction of the region within the cell,
     as a Fraction; the state-1 mass of the grid equals the region measure
-    exactly.
+    exactly.  Each band evaluates its second antiderivative once per
+    corner of the cells it meets (:func:`_band_window_areas`); the cells of
+    all bands add up as integers over one common denominator, and each
+    distinct cell value becomes one Fraction at the end.
     """
-    if resolution < 1:
-        raise ValidationError("resolution must be a positive integer")
-    r = resolution
-    cells = np.empty((r, r, 2), dtype=object)
-    zero = Fraction(0)
-    one = Fraction(1)
-    for i in range(r):
-        for j in range(r):
-            cells[i, j, 1] = zero
+    if (isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer))
+            or resolution < 1):
+        raise ValidationError(
+            f"field 'resolution': must be a positive integer, got {resolution!r}"
+        )
+    r = int(resolution)
+    parts = []
     for band in region.bands:
         (a1, b1), (a2, b2) = band.rect
-        i_lo = math.floor(a1 * r)
-        i_hi = math.ceil(b1 * r)
-        j_lo = math.floor(a2 * r)
-        j_hi = math.ceil(b2 * r)
-        for i in range(i_lo, min(i_hi, r)):
-            u0, u1 = Fraction(i, r), Fraction(i + 1, r)
-            for j in range(j_lo, min(j_hi, r)):
-                v0, v1 = Fraction(j, r), Fraction(j + 1, r)
-                a = _band_area_in_window(band, u0, u1, v0, v1)
-                if a:
-                    cells[i, j, 1] += a * r * r
-    for i in range(r):
-        for j in range(r):
-            cells[i, j, 0] = one - cells[i, j, 1]
-    return FuzzyGrid(cells)
+        i_lo, i_hi = math.floor(a1 * r), math.ceil(b1 * r)
+        j_lo, j_hi = math.floor(a2 * r), math.ceil(b2 * r)
+        u = [a1, *(Fraction(i, r) for i in range(i_lo + 1, i_hi)), b1]
+        v = [a2, *(Fraction(j, r) for j in range(j_lo + 1, j_hi)), b2]
+        areas, scale = _band_window_areas(band, u, v)
+        parts.append((i_lo, j_lo, areas, scale * r * r))
+    den = math.lcm(*(scale.denominator for *_, scale in parts))
+    factors = [scale.numerator * (den // scale.denominator) for *_, scale in parts]
+    # A band fills at most a whole cell and the bands are disjoint, so every
+    # product and sum of numerators is at most den.
+    dtype = _int_dtype(max([den, *factors]))
+    if any(areas.dtype == object for _, _, areas, _ in parts):
+        dtype = object
+    total = np.zeros((r, r), dtype=dtype)
+    for (i_lo, j_lo, areas, _), factor in zip(parts, factors):
+        h, k = areas.shape
+        total[i_lo:i_lo + h, j_lo:j_lo + k] += areas.astype(dtype, copy=False) * factor
+    values, inverse = np.unique(total, return_inverse=True)
+    fractions = np.empty((len(values), 2), dtype=object)
+    fractions[:] = [(Fraction(den - v, den), Fraction(v, den)) for v in values.tolist()]
+    return FuzzyGrid(fractions[inverse.reshape(r, r)])

@@ -1,9 +1,15 @@
-"""Exact regions, rasterization, grids, and associated structures."""
+"""Exact regions, rasterization, grids, and associated structures.
 
+The closed-form rasterization is checked against the per-cell trapezoid
+integration it replaced, kept below as the oracle.
+"""
+
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsig import (
     Band,
@@ -30,6 +36,97 @@ from conftest import (
     random_private_structure,
     striped_three_state_partition,
 )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: per-cell trapezoid integration in Fractions
+# ---------------------------------------------------------------------------
+
+def oracle_band_area(band, u0, u1, v0, v1):
+    """Exact area of the band inside the absolute window [u0,u1]x[v0,v1].
+
+    After clipping to the band's rectangle and normalizing coordinates, the
+    band is ``{(x, y) : frac(x + y) in Y}``; its intersection with an axis-
+    aligned window is a union of trapezoids, integrated in closed form: the
+    cross-section length of the window at diagonal level ``s = x + y`` is a
+    piecewise-linear "tent" and the area is its integral over the translates
+    ``Y`` and ``Y + 1``.
+    """
+    (a1, b1), (a2, b2) = band.rect
+    u0, u1 = max(u0, a1), min(u1, b1)
+    v0, v1 = max(v0, a2), min(v1, b2)
+    if u0 >= u1 or v0 >= v1:
+        return F(0)
+    w1, w2 = b1 - a1, b2 - a2
+    p0, p1 = (u0 - a1) / w1, (u1 - a1) / w1
+    q0, q1 = (v0 - a2) / w2, (v1 - a2) / w2
+
+    def tent(sv):
+        lo = max(p0, sv - q1)
+        hi = min(p1, sv - q0)
+        return hi - lo if hi > lo else F(0)
+
+    corners = sorted({p0 + q0, p0 + q1, p1 + q0, p1 + q1})
+    area = F(0)
+    for lo, hi in band.y_set:
+        for shift in (0, 1):
+            c, d = lo + shift, hi + shift
+            for s0, s1 in zip(corners, corners[1:]):
+                e0, e1 = max(s0, c), min(s1, d)
+                if e1 > e0:
+                    area += (e1 - e0) * (tent(e0) + tent(e1)) / 2
+    return area * w1 * w2
+
+
+def oracle_rasterize(region, r):
+    """Cells of the exact resolution-r grid, one oracle integral per cell."""
+    cells = np.empty((r, r, 2), dtype=object)
+    for i in range(r):
+        for j in range(r):
+            cells[i, j, 1] = F(0)
+    for band in region.bands:
+        (a1, b1), (a2, b2) = band.rect
+        for i in range(math.floor(a1 * r), math.ceil(b1 * r)):
+            for j in range(math.floor(a2 * r), math.ceil(b2 * r)):
+                a = oracle_band_area(band, F(i, r), F(i + 1, r), F(j, r), F(j + 1, r))
+                if a:
+                    cells[i, j, 1] += a * r * r
+    for i in range(r):
+        for j in range(r):
+            cells[i, j, 0] = 1 - cells[i, j, 1]
+    return cells
+
+
+def typed(cells):
+    return [(type(v), v) for v in np.asarray(cells).ravel().tolist()]
+
+
+@st.composite
+def regions(draw):
+    """Banded rectangles on rational cuts (denominators 2..13) that tile the
+    square or leave holes; each band set has 0-3 intervals whose ends are
+    multiples of 1/d, with empty intervals and ends at 0 and 1 allowed."""
+    def cuts():
+        den = draw(st.integers(2, 13))
+        inner = draw(st.lists(st.integers(1, den - 1), max_size=3, unique=True))
+        return [F(0), *sorted(F(v, den) for v in inner), F(1)]
+
+    xs, ys = cuts(), cuts()
+    tiling = draw(st.booleans())
+    bands = []
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            if not (tiling or draw(st.booleans())):
+                continue
+            den = draw(st.integers(2, 13))
+            k = draw(st.integers(0, 3))
+            ends = sorted(draw(st.lists(st.integers(0, den), min_size=2 * k, max_size=2 * k)))
+            y_set = [(F(ends[2 * t], den), F(ends[2 * t + 1], den)) for t in range(k)]
+            bands.append(Band(((x0, x1), (y0, y1)), y_set))
+    return RegionSet(bands)
+
+
+window_ends = st.builds(F, st.integers(-7, 21), st.integers(1, 13))
 
 
 def fuzzy_triangle(resolution):
@@ -80,7 +177,9 @@ class TestUninformativeSet:
     ])
     @pytest.mark.parametrize("resolution", [1, 3, 4, 5])
     def test_projections_constant(self, p, y, resolution):
-        grid = rasterize(build_uninformative_set(p, y), resolution)
+        region = build_uninformative_set(p, y)
+        grid = rasterize(region, resolution)
+        assert typed(grid.cells) == typed(oracle_rasterize(region, resolution))
         for axis in (0, 1):
             assert grid_projections(grid, axis, state=1) == [p] * resolution
 
@@ -116,6 +215,44 @@ class TestRasterize:
                     for a in (0, 1) for b in (0, 1)
                 ]
                 assert sum(children) / 4 == coarse.cells[i, j, 1]
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_non_integer_resolution_is_refused(self, bad):
+        region = build_uninformative_set(F(1, 2), [(0, F(1, 2))])
+        with pytest.raises(ValidationError, match="'resolution'"):
+            rasterize(region, bad)
+
+    @settings(max_examples=120, deadline=None)
+    @given(regions(), st.integers(1, 12))
+    def test_cells_match_the_oracle(self, region, r):
+        grid = rasterize(region, r)
+        assert typed(grid.cells) == typed(oracle_rasterize(region, r))
+        assert sum(grid.cells[..., 1].ravel().tolist()) / (r * r) == region.measure
+
+    def test_large_denominators_match_the_oracle(self):
+        # Edges over the prime 2**61 - 1 put the band arithmetic and the cell
+        # totals on Python ints.
+        big = 2**61 - 1
+        a, b = F(big // 3, big), F(2 * big // 3, big)
+        region = RegionSet([
+            Band(((0, a), (0, 1)), [(F(1, big), F(big // 2, big))]),
+            Band(((a, 1), (0, b)), [(0, F(1, 3)), (F(1, 2), 1)]),
+        ])
+        for r in (1, 3, 5):
+            grid = rasterize(region, r)
+            assert typed(grid.cells) == typed(oracle_rasterize(region, r))
+            assert sum(grid.cells[..., 1].ravel().tolist()) / (r * r) == region.measure
+        window = (F(1, 7), F(6, 7), F(1, big), F(5, 7))
+        assert region_area_in_window(region, *window) == sum(
+            (oracle_band_area(band, *window) for band in region.bands), F(0))
+
+    @settings(max_examples=120, deadline=None)
+    @given(regions(), st.lists(window_ends, min_size=4, max_size=4))
+    def test_window_area_matches_the_oracle(self, region, window):
+        # Windows may be inverted or reach outside the square.
+        area = region_area_in_window(region, *window)
+        assert type(area) is F
+        assert area == sum((oracle_band_area(b, *window) for b in region.bands), F(0))
 
     def test_window_area_additivity(self):
         region = build_uninformative_set(F(1, 2), [(F(1, 4), F(3, 4))])

@@ -36,6 +36,13 @@ from privsig.structures import POSTERIOR_MERGE_TOL, structure_from_grid
 from conftest import random_private_structure, three_state_binary_signal
 
 
+def fuzzy_cells(vec):
+    """A 2 x 2 exact fuzzy grid of halves whose cell (1, 0) holds ``vec``."""
+    cells = np.full((2, 2, 2), F(1, 2), dtype=object)
+    cells[1, 0] = list(vec)
+    return cells
+
+
 @pytest.fixture
 def blocks():
     return structure_from_grid(quarter_three_quarter_blocks(), exact=True)
@@ -77,6 +84,44 @@ class TestValidation:
         cells[0, 1] = [bad, 0.5]
         with pytest.raises(ValidationError, match="'cells'"):
             FuzzyGrid(cells.astype(dtype))
+
+    def test_exact_fuzzy_grid_tolerances_are_inclusive(self):
+        table, prob = F(TABLE_TOL), F(PROBABILITY_TOL)
+        tiny = F(1, 2**80)
+        for vec in ((-table, 1 + table), (F(0), 1 + prob), (F(1, 2), F(1, 2) - prob), (0, 1)):
+            FuzzyGrid(fuzzy_cells(vec))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            FuzzyGrid(fuzzy_cells((-table - tiny, 1 + table + tiny)))
+        for vec in ((F(0), 1 + prob + tiny), (F(1, 2), F(1, 2) - prob - tiny)):
+            with pytest.raises(ValidationError, match="sum to 1"):
+                FuzzyGrid(fuzzy_cells(vec))
+
+    @pytest.mark.parametrize("vec", [
+        (F(1, 2), 0.5), (-TABLE_TOL, F(1) + F(TABLE_TOL)), (-2 * TABLE_TOL, F(1)),
+        (F(1, 2), 0.5 + 2 * PROBABILITY_TOL), (F(1, 2), 0.5 + PROBABILITY_TOL / 2),
+        (float("nan"), F(1)), (F(0), float("inf")), (F(1, 2**70), 1 - F(1, 2**70)),
+        (-F(1, 2**70), 1 + F(1, 2**70)), (F(2**70), 1 - F(2**70)), (F(3, 4), F(1, 2)),
+        (True, 0), (F(1, 3), F(1, 3)),
+    ])
+    def test_fuzzy_grid_verdicts_match_the_cell_loop(self, vec):
+        # Exact and mixed float/Fraction cells get the verdict of one Python
+        # comparison per value and one sum per cell, the first bad cell first.
+        cells = fuzzy_cells(vec)
+        cells[1, 1] = [F(1, 2), F(1, 4)]
+        expected = None
+        for row in cells.reshape(-1, 2).tolist():
+            if not all(v >= -TABLE_TOL for v in row):
+                expected = "nonnegative"
+            elif abs(sum(row) - 1) > PROBABILITY_TOL:
+                expected = "sum to 1"
+            else:
+                continue
+            break
+        if expected is None:
+            FuzzyGrid(cells)
+        else:
+            with pytest.raises(ValidationError, match=expected):
+                FuzzyGrid(cells)
 
     def test_exact_simplex_dist_tolerances_are_inclusive(self):
         # Exact atoms meet the float tolerances exactly at their boundary.
