@@ -31,8 +31,8 @@ from .infobounds import (
 )
 from .structures import GridPartition, GridSet, rasterize
 from .uniqueness import (
+    _label_swap,
     additive_set_test,
-    brute_force_marginal_mates,
     is_pareto_optimal_2x2,
     lorentz_uniqueness_2d,
     partition_uniqueness_witness,
@@ -162,11 +162,8 @@ def _cmd_uniqueness(args):
         mat = _array_field(doc, "matrix")
         unique = switch_uniqueness_matrix(mat)
         witness = None
-        if not unique and mat.size <= 25:
-            mates = brute_force_marginal_mates(mat)
-            witness = next(
-                m.tolist() for m in mates if not np.array_equal(m, mat)
-            )
+        if not unique:
+            witness = _label_swap(mat).tolist()
         _emit_json({"unique": unique, "witness": witness})
         return
     if "cells" not in doc:

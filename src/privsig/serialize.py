@@ -201,10 +201,17 @@ def fuzzy_grid_from_json(doc) -> FuzzyGrid:
         r = len(raw)
         m = len(raw[0][0])
         arr = np.empty((r, r, m), dtype=object)
+        # A rasterized grid repeats few distinct strings: parse each once.
+        parsed = {}
         for i, row in enumerate(raw):
             for j, cell in enumerate(row):
                 for k, v in enumerate(cell):
-                    arr[i, j, k] = number_from_json(v)
+                    if isinstance(v, str):
+                        if v not in parsed:
+                            parsed[v] = number_from_json(v)
+                        arr[i, j, k] = parsed[v]
+                    else:
+                        arr[i, j, k] = number_from_json(v)
         return FuzzyGrid(arr)
     return FuzzyGrid(np.asarray(raw, dtype=float))
 

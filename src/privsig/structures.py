@@ -777,8 +777,8 @@ def grid_projections(grid, axis: int, state=None):
     cell indicator (GridSet), the state-``state`` indicator (GridPartition),
     or the state-``state`` fuzzy value (FuzzyGrid).  In the structure
     associated with the grid this is exactly the posterior of agent ``axis``
-    at signals in cell ``j``.  Counting grids return Fractions; float fuzzy
-    grids return floats.
+    at signals in cell ``j``.  Counting grids and fuzzy grids of ints and
+    Fractions return Fractions; float fuzzy grids return floats.
     """
     if isinstance(grid, GridSet):
         if state is not None:
@@ -801,6 +801,8 @@ def grid_projections(grid, axis: int, state=None):
     sums = values.sum(axis=other)
     denom = grid.resolution ** (n - 1)
     if values.dtype == object:
+        if _is_rational(values):
+            return [Fraction(v, denom) for v in sums.tolist()]
         return [v / denom for v in sums.tolist()]
     if np.issubdtype(values.dtype, np.integer):
         return [Fraction(int(v), denom) for v in sums.tolist()]

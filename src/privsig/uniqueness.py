@@ -4,19 +4,28 @@ A binary-state two-agent structure is Pareto optimal exactly when the two
 belief distributions are conjugates; for grid representations the same
 question becomes discrete tomography: is the cell set the only one with its
 axis projections?  This module provides the conjugacy test, the discrete
-Lorentz/Gale-Ryser rearrangement test, a local switch test, an additive-set
-linear feasibility test, the fuzzy-relaxation LP test for labeled partitions,
-and a brute-force enumeration oracle that the faster tests are validated
-against.
+Lorentz/Gale-Ryser rearrangement test, a local switch test, the additive-set
+test, the partition-of-uniqueness test, and a brute-force enumeration oracle
+that the faster tests are validated against.
+
+In two dimensions combinatorics decides most verdicts exactly: a 2x2 label
+swap is an exact 0/1 mate, a swap-free grid with at most two labels is
+unique (Gale-Ryser), and a swap-free set is additive with integer rank
+levels (Fishburn, Lagarias, Reeds & Shepp).  HiGHS runs only for the
+three-dimensional additive test and for swap-free partitions with three or
+more labels (notes/decisions.md, "Uniqueness verdicts by combinatorics").
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from ._num import LP_TOL
+from ._num import LP_TOL, as_fraction
 from .beliefs import AtomicDist, ORDER_TOL, conjugate, mean, wasserstein1
 from .errors import ResourceBudgetError, ValidationError
 from .structures import FuzzyGrid, GridPartition, GridSet
@@ -112,6 +121,46 @@ def switch_uniqueness_matrix(mat) -> bool:
     return not (arr[1:] & ~arr[:-1]).any()
 
 
+#: Entries per block of row pairs in the swap search, which bounds its memory.
+_SWAP_BLOCK = 1 << 20
+
+
+def _label_swap(labels):
+    """``labels`` with one 2x2 label swap applied, or None if it has none.
+
+    A swap is a pair of rows ``i != i2`` and of columns ``j != j2`` with
+    ``labels[i, j] = labels[i2, j2] = k`` and ``labels[i, j2] =
+    labels[i2, j] = l != k``: exchanging ``k`` and ``l`` on those four cells
+    keeps every per-label row and column count.  On a 0/1 matrix this is
+    Ryser's switch.  For each pair of rows a mask marks which ordered label
+    pairs ``(labels[i, c], labels[i2, c])`` occur; a swap is an
+    off-diagonal pair whose transpose occurs too.
+    """
+    lab = np.asarray(labels, dtype=np.int64)
+    n_cols = lab.shape[1]
+    m = int(lab.max(initial=0)) + 1
+    first, second = np.triu_indices(lab.shape[0], 1)
+    off_diagonal = ~np.eye(m, dtype=bool)
+    step = max(1, _SWAP_BLOCK // (n_cols + m * m))
+    for start in range(0, len(first), step):
+        rows, rows2 = first[start:start + step], second[start:start + step]
+        codes = lab[rows] * m + lab[rows2]
+        seen = np.zeros((len(rows), m * m), dtype=bool)
+        seen[np.arange(len(rows))[:, None], codes] = True
+        seen = seen.reshape(-1, m, m)
+        hits = seen & seen.transpose(0, 2, 1) & off_diagonal
+        if hits.any():
+            p, k, l = np.argwhere(hits)[0]
+            j = np.argmax(codes[p] == k * m + l)
+            j2 = np.argmax(codes[p] == l * m + k)
+            i, i2 = rows[p], rows2[p]
+            mate = lab.copy()
+            mate[i, j] = mate[i2, j2] = l
+            mate[i, j2] = mate[i2, j] = k
+            return mate
+    return None
+
+
 def brute_force_marginal_mates(mat) -> list:
     """Every 0/1 matrix with the same row and column sums, by backtracking.
 
@@ -158,31 +207,69 @@ def brute_force_marginal_mates(mat) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Additive sets (linear feasibility)
+# Additive sets
 # ---------------------------------------------------------------------------
 
+def _check_epsilon(epsilon):
+    """Refuse a margin that is not a finite positive real number."""
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ValidationError("field 'epsilon': must be a number")
+    if not isinstance(epsilon, numbers.Rational) and not math.isfinite(epsilon):
+        raise ValidationError("field 'epsilon': must be finite")
+    if epsilon <= 0:
+        raise ValidationError("field 'epsilon': must be positive")
+
+
 def additive_set_test(grid: GridSet, epsilon=None):
-    """Search for per-axis scores certifying the grid set is additive.
+    """Per-axis scores certifying that the grid set is additive, or None.
 
-    Solves the linear feasibility problem for bounded values
-    ``h_i(cell) in [-1, 1]`` with ``sum_i h_i(x_i) >= 0`` on cells inside the
-    set and ``<= -epsilon`` outside.  Success returns the witness as a list
-    of per-axis value lists and implies the set is a set of uniqueness; on
-    infeasibility returns None.  ``epsilon`` defaults to ``1/(4R)``: the
-    complement side of the definition is a strict inequality, and a closed
-    LP needs explicit slack to express it.
+    The scores are bounded values ``h_i(cell) in [-1, 1]`` with
+    ``sum_i h_i(x_i) >= 0`` on cells inside the set and ``<= -epsilon``
+    outside; they are returned as a list of per-axis float lists, and their
+    existence implies the set is a set of uniqueness.  ``epsilon`` defaults
+    to ``1/(4R)``: the complement side of the definition is a strict
+    inequality, and a closed system needs explicit slack to express it.
+
+    In two dimensions no LP runs.  A set with a 2x2 switch is not additive.
+    A switch-free set is a permuted Ferrers diagram; with ``S`` distinct row
+    counts below ``R``, the widest margin the bounds allow is exactly
+    ``2/S`` (compared exactly with ``epsilon``), and the rank levels
+    ``h_0(i) = 2 #{steps < L_i}/S - 1`` and ``h_1(j) = 1 - 2 #{steps <=
+    pos_j}/S`` attain it, where ``L_i`` is row ``i``'s count and ``pos_j``
+    the rank of column ``j`` by height.  Three-dimensional sets go to a
+    HiGHS feasibility LP.
     """
-    from scipy.optimize import linprog
-
     if grid.n not in (2, 3):
         raise ValidationError("the additive test supports n in {2, 3}")
     r = grid.resolution
     if epsilon is None:
         epsilon = 1.0 / (4 * r)
-    epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_epsilon(epsilon)
+    if grid.n == 3:
+        return _additive_lp(grid, float(epsilon))
+    cells = grid.cells
+    if not switch_uniqueness_matrix(cells):
+        return None
+    row_counts = cells.sum(axis=1)
+    steps = np.unique(row_counts[row_counts < r])
+    s = len(steps)
+    if s == 0:
+        # The full square: no outside cell to separate.
+        return [[0.0] * r, [0.0] * r]
+    if as_fraction(epsilon) > Fraction(2, s):
+        return None
+    pos = np.empty(r, dtype=np.int64)
+    pos[np.argsort(-cells.sum(axis=0), kind="stable")] = np.arange(r)
+    below = np.searchsorted(steps, row_counts, side="left")
+    upto = np.searchsorted(steps, pos, side="right")
+    return [((2 * below - s) / s).tolist(), ((s - 2 * upto) / s).tolist()]
 
+
+def _additive_lp(grid: GridSet, epsilon: float):
+    """The additive-set scores from a HiGHS feasibility LP, or None."""
+    from scipy.optimize import linprog
+
+    r = grid.resolution
     n = grid.n
     n_vars = n * r
     rows = []
@@ -211,7 +298,7 @@ def additive_set_test(grid: GridSet, epsilon=None):
 
 
 # ---------------------------------------------------------------------------
-# Partitions of uniqueness (fuzzy-relaxation LP)
+# Partitions of uniqueness
 # ---------------------------------------------------------------------------
 
 def _partition_lp(partition: GridPartition):
@@ -296,17 +383,45 @@ def check_partition_budget(partition: GridPartition):
         )
 
 
+def _partition_verdict(partition: GridPartition):
+    """``(unique?, swapped labels, LP witness)`` from the first path that
+    decides."""
+    check_partition_budget(partition)
+    mate = _label_swap(partition.cells)
+    if mate is not None:
+        return False, mate, None
+    # A label that no cell carries has zero projections, so no relaxation
+    # gives it mass: what counts is the number of labels in use.
+    if len(np.unique(partition.cells)) <= 2:
+        return True, None, None
+    off_mass, fuzzy = _partition_lp(partition)
+    if off_mass <= LP_TOL:
+        return True, None, None
+    return False, None, fuzzy
+
+
 def partition_uniqueness_witness(partition: GridPartition):
     """(unique?, witness) where the witness is a distinct fuzzy relaxation.
 
     The witness is a fuzzy grid with the same per-state projections as the
     partition whenever the partition is not one of uniqueness, else None.
+    After the budget check:
+
+    1. a 2x2 label swap gives ``(False, mate)``, with the swapped labeling
+       as an exact one-hot grid of Fractions;
+    2. with no swap and at most two labels in use the partition is
+       unique: the polytope of [0, 1] matrices with given margins is
+       integral, so a fractional mate would imply a 0/1 mate, and a 0/1
+       mate a switch;
+    3. otherwise (three or more labels, no swap) an LP maximizes the fuzzy
+       mass off the partition's own labels; its witness is in floats.
     """
-    check_partition_budget(partition)
-    off_mass, fuzzy = _partition_lp(partition)
-    if off_mass <= LP_TOL:
-        return True, None
-    return False, fuzzy
+    unique, mate, fuzzy = _partition_verdict(partition)
+    if mate is None:
+        return unique, fuzzy
+    units = np.array([Fraction(0), Fraction(1)], dtype=object)
+    one_hot = (mate[..., None] == np.arange(partition.m)).astype(np.int64)
+    return False, FuzzyGrid(units[one_hot])
 
 
 def partition_uniqueness_grid(partition: GridPartition) -> bool:
@@ -314,9 +429,10 @@ def partition_uniqueness_grid(partition: GridPartition) -> bool:
 
     Implements the extreme-point criterion: the polytope of fuzzy grids
     matching the partition's per-state axis projections must be the
-    singleton containing the indicator.  A single LP maximizes the total
-    mass off the partition's own labels; the partition is one of uniqueness
-    iff that maximum is zero (within ``LP_TOL``).
+    singleton containing the indicator.  A 2x2 label swap refutes it and
+    Gale-Ryser confirms it for two labels, both exactly; a swap-free
+    partition with three or more labels is unique iff the LP's maximum mass
+    off its own labels is zero (within ``LP_TOL``).
     """
-    unique, _ = partition_uniqueness_witness(partition)
+    unique, _, _ = _partition_verdict(partition)
     return unique

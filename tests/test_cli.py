@@ -94,6 +94,32 @@ def test_uniqueness_additive(write, capsys):
     assert doc["unique"] is True and len(doc["witness"]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_uniqueness_additive_nonfinite_epsilon(write, capsys, epsilon):
+    grid = {"cells": [[0, 1], [1, 1]]}
+    code, out, err = run_cli(capsys, [
+        "uniqueness", "--in", write("g.json", grid), "--additive", f"--epsilon={epsilon}",
+    ])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'epsilon'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_uniqueness_large_matrix_witness(write, capsys):
+    # 6 x 7 = 42 cells, beyond the enumeration oracle's budget.
+    mat = np.triu(np.ones((6, 7), dtype=int))
+    mat[[2, 3], 2:4] = [[0, 1], [1, 0]]
+    path = write("m.json", {"matrix": mat.tolist()})
+    code, out, _ = run_cli(capsys, ["uniqueness", "--in", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["unique"] is False
+    mate = np.array(doc["witness"])
+    assert set(mate.ravel().tolist()) <= {0, 1} and not np.array_equal(mate, mat)
+    assert mate.sum(axis=0).tolist() == mat.sum(axis=0).tolist()
+    assert mate.sum(axis=1).tolist() == mat.sum(axis=1).tolist()
+
+
 def test_disclose_with_samples(write, capsys, tmp_path):
     s = symmetric_binary_signal(F(3, 4))
     path = write("s.json", structure_to_json(s))

@@ -288,6 +288,21 @@ class TestGridProjections:
         with pytest.raises(ValidationError):
             grid_projections(quarter_three_quarter_blocks(), 0)
 
+    def test_exact_fuzzy_grid_of_ints(self):
+        cells = np.empty((2, 2, 2), dtype=object)
+        cells[...] = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        for axis in (0, 1):
+            proj = grid_projections(FuzzyGrid(cells), axis, state=0)
+            assert proj == [F(1, 2), F(1, 2)]
+            assert all(type(v) is F for v in proj)
+
+    def test_mixed_int_and_fraction_grid(self):
+        cells = np.empty((2, 2, 2), dtype=object)
+        cells[...] = [[[1, 0], [0, 1]], [[0, 1], [F(1, 2), F(1, 2)]]]
+        proj = grid_projections(FuzzyGrid(cells), 0, state=1)
+        assert proj == [F(1, 2), F(3, 4)]
+        assert all(type(v) is F for v in proj)
+
 
 class TestStructureFromGrid:
     def test_all_one_label_collapses(self):

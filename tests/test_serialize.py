@@ -88,6 +88,20 @@ def test_region_and_fuzzy_round_trip():
     assert np.array_equal(gback.cells, grid.cells)
 
 
+def test_exact_fuzzy_round_trip_at_r32():
+    region = build_uninformative_set(F(2, 5), [(F(1, 5), F(3, 5))])
+    grid = rasterize(region, 32)
+    doc = json.loads(dumps(fuzzy_grid_to_json(grid)))
+    back = fuzzy_grid_from_json(doc)
+    assert back.cells.shape == grid.cells.shape
+    assert back.cells.tolist() == grid.cells.tolist()
+    assert [type(v) for v in back.cells.flat] == [type(v) for v in grid.cells.flat]
+    # Each occurrence of a malformed string is still refused.
+    doc["cells"][5][7][1] = "1/0"
+    with pytest.raises(ValidationError):
+        fuzzy_grid_from_json(doc)
+
+
 def test_cdf_csv():
     d = AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
     text = dist_to_cdf_csv(d)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsig import (
     AtomicDist,
@@ -16,6 +17,7 @@ from privsig import (
     conjugate,
     conjugate_partition,
     gale_ryser_unique,
+    grid_projections,
     is_pareto_optimal_2x2,
     lorentz_uniqueness_2d,
     partition_uniqueness_grid,
@@ -24,6 +26,9 @@ from privsig import (
     switch_uniqueness_matrix,
     uniform_grid,
 )
+from privsig import uniqueness
+from privsig._num import LP_TOL
+from privsig.uniqueness import _additive_lp, _label_swap, _partition_lp
 from privsig.catalog import (
     majority_grid,
     quarter_three_quarter_blocks,
@@ -228,8 +233,6 @@ class TestPartitionUniqueness:
         assert witness is not None
         # The witness has the same projections as the indicator but is a
         # genuinely different fuzzy grid.
-        from privsig import grid_projections
-
         for axis in (0, 1):
             want = grid_projections(p.state_set(1), axis)
             got = grid_projections(witness, axis, state=1)
@@ -253,3 +256,233 @@ class TestPartitionUniqueness:
             partition_uniqueness_grid(
                 GridPartition(np.arange(25).reshape(5, 5) % 5)
             )
+
+
+# ---------------------------------------------------------------------------
+# Combinatorial verdicts against the LP formulations
+# ---------------------------------------------------------------------------
+
+def naive_label_swap(labels):
+    """Loop oracle: is there a 2x2 label swap with two distinct labels?"""
+    lab = np.asarray(labels)
+    n_rows, n_cols = lab.shape
+    for i in range(n_rows):
+        for i2 in range(i + 1, n_rows):
+            for j in range(n_cols):
+                for j2 in range(n_cols):
+                    k, l = lab[i, j], lab[i, j2]
+                    if k != l and lab[i2, j2] == k and lab[i2, j] == l:
+                        return True
+    return False
+
+
+def distinct_steps(cells):
+    """Number of distinct row counts below R of a binary grid."""
+    counts = np.asarray(cells, dtype=int).sum(axis=1)
+    return len({int(c) for c in counts if c < len(cells)})
+
+
+def ferrers_cells(rng, r):
+    lengths = np.sort(rng.integers(0, r + 1, size=r))[::-1]
+    cells = np.arange(r) < lengths[:, None]
+    return cells[rng.permutation(r)][:, rng.permutation(r)]
+
+
+@st.composite
+def labelings(draw):
+    """Label grids with m in 2..4 and R in 2..10, including swap-free kinds
+    (row-sorted for two labels, Latin squares, stripes) that reach the LP."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["random", "row_sorted", "latin", "striped", "halves"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = np.indices((r, r))
+    if kind == "random":
+        cells = rng.integers(0, m, size=(r, r))
+    elif kind == "row_sorted":
+        cells = np.sort(rng.integers(0, m, size=(r, r)), axis=1)
+    elif kind == "latin":
+        step = int(rng.integers(1, m))
+        cells = (i + step * j + int(rng.integers(0, m))) % m
+    elif kind == "striped":
+        width = int(rng.integers(1, r + 1))
+        cells = ((j if rng.random() < 0.5 else i) // width) % m
+    else:
+        half = r - r % 2 or 2
+        cells = np.zeros((r, r), dtype=int)
+        p = striped_three_state_partition(int(rng.integers(0, half // 2 + 1)), half)
+        cells[:half, :half] = p.cells
+    return cells
+
+
+def one_hot(labels, m):
+    return (np.asarray(labels)[..., None] == np.arange(m)).astype(float)
+
+
+class TestCombinatorialPartitions:
+    @settings(max_examples=150, deadline=None)
+    @given(labelings())
+    def test_verdicts_and_witnesses_match_the_lp(self, cells):
+        p = GridPartition(cells)
+        unique, witness = partition_uniqueness_witness(p)
+        lp_mass, _ = _partition_lp(p)
+        assert unique == (lp_mass <= LP_TOL)
+        assert partition_uniqueness_grid(p) == unique
+        swap = naive_label_swap(cells)
+        assert (_label_swap(cells) is not None) == swap
+        if unique:
+            assert witness is None
+            return
+        diff = np.abs(np.asarray(witness.cells, dtype=float) - one_hot(cells, p.m))
+        assert diff.max() > 1e-6
+        exact = swap or len(np.unique(cells)) <= 2
+        for k in range(p.m):
+            for axis in (0, 1):
+                got = grid_projections(witness, axis, state=k)
+                want = grid_projections(p, axis, state=k)
+                if exact:
+                    assert all(type(v) is F for v in got)
+                    assert got == want
+                else:
+                    assert max(abs(a - float(b)) for a, b in zip(got, want)) < 1e-6
+        if exact:
+            assert set(witness.cells.flat) <= {F(0), F(1)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_blocked_search_finds_every_swap(self, n_rows, n_cols, m, seed):
+        cells = np.random.default_rng(seed).integers(0, m, size=(n_rows, n_cols))
+        expect = naive_label_swap(cells)
+        for block in (1, 7, 1 << 20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uniqueness, "_SWAP_BLOCK", block)
+                mate = _label_swap(cells)
+            assert (mate is not None) == expect
+            if mate is not None:
+                changed = np.argwhere(mate != cells)
+                assert len(changed) == 4
+                assert len(set(changed[:, 0])) == len(set(changed[:, 1])) == 2
+                for k in range(m):
+                    assert np.array_equal((mate == k).sum(axis=0), (cells == k).sum(axis=0))
+                    assert np.array_equal((mate == k).sum(axis=1), (cells == k).sum(axis=1))
+
+    def test_no_lp_where_combinatorics_decides(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("an LP ran")
+
+        monkeypatch.setattr(uniqueness, "_partition_lp", refuse)
+        monkeypatch.setattr(uniqueness, "_additive_lp", refuse)
+        for r in (2, 8, 32):
+            for m in (2, 3, 4):
+                cells = rng.integers(0, m, size=(r, r))
+                if m > 2 and _label_swap(cells) is None:
+                    continue
+                unique, witness = partition_uniqueness_witness(GridPartition(cells))
+                assert unique == (witness is None)
+            stairs = (np.add.outer(np.arange(r), np.arange(r)) >= r).astype(int)
+            assert partition_uniqueness_grid(GridPartition(stairs))
+            # Two labels in use out of three: label 1 carries no mass.
+            assert partition_uniqueness_grid(GridPartition(2 * stairs))
+            for cells in (ferrers_cells(rng, r), rng.random((r, r)) < 0.5):
+                additive_set_test(GridSet(cells))
+        with pytest.raises(AssertionError, match="an LP ran"):
+            partition_uniqueness_grid(striped_three_state_partition(2, 8))
+
+    def test_cyclic_latin_square_reaches_the_lp(self):
+        # No 2x2 swap, yet the other cyclic square has the same projections.
+        cells = np.add.outer(np.arange(3), np.arange(3)) % 3
+        assert _label_swap(cells) is None
+        unique, witness = partition_uniqueness_witness(GridPartition(cells))
+        assert not unique and witness is not None
+
+    def test_matrix_witness_at_any_size(self, rng):
+        cells = ferrers_cells(rng, 12).astype(int)
+        cells[0, :] = 0
+        cells[1, :] = 1
+        cells[0, 0], cells[1, 0] = 1, 0
+        mate = _label_swap(cells)
+        assert mate is not None and not switch_uniqueness_matrix(cells)
+        assert not np.array_equal(mate, cells)
+        assert np.array_equal(mate.sum(axis=0), cells.sum(axis=0))
+        assert np.array_equal(mate.sum(axis=1), cells.sum(axis=1))
+
+
+@st.composite
+def binary_grids(draw):
+    """Binary grids with R in 1..8: permuted Ferrers diagrams, the same with
+    one cell toggled, and random grids."""
+    r = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ferrers", "toggled", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return rng.random((r, r)) < rng.random()
+    cells = ferrers_cells(rng, r)
+    if kind == "toggled":
+        cells[rng.integers(r), rng.integers(r)] ^= True
+    return cells
+
+
+def check_scores(cells, h, epsilon, tol=1e-12):
+    a, b = (np.asarray(v, dtype=float) for v in h)
+    assert all(type(v) is float for axis in h for v in axis)
+    assert np.abs(a).max() <= 1 and np.abs(b).max() <= 1
+    total = a[:, None] + b[None, :]
+    assert (total[cells] >= -tol).all()
+    assert (total[~cells] <= -epsilon + tol).all()
+
+
+class TestCombinatorialAdditive:
+    @settings(max_examples=150, deadline=None)
+    @given(binary_grids())
+    def test_verdicts_match_the_lp(self, cells):
+        g = GridSet(cells)
+        r = len(cells)
+        s = distinct_steps(cells)
+        for eps in (1 / (4 * r), 1 / (8 * r), 0.3, 0.7, 1.1, 1.9, 2.5):
+            if s and abs(eps - 2 / s) < 1e-6:
+                continue
+            h = additive_set_test(g, eps)
+            assert (h is not None) == (_additive_lp(g, eps) is not None)
+            if h is not None:
+                assert lorentz_uniqueness_2d(g)
+                check_scores(cells, h, eps)
+            elif lorentz_uniqueness_2d(g):
+                assert eps > 2 / s
+
+    @pytest.mark.parametrize("cells, steps", [
+        (np.add.outer(np.arange(4), np.arange(4)) >= 4, 4),   # staircase 0..3
+        (np.zeros((3, 3), dtype=bool), 1),                    # empty set
+        (np.array([[1, 1, 0], [1, 1, 0], [1, 0, 0]], bool), 2),
+        (np.array([[1, 1, 1], [1, 1, 1], [1, 0, 0]], bool), 1),
+        (np.array([[0, 1, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, 1]], bool), 3),
+    ])
+    def test_exact_boundary_two_over_s(self, cells, steps):
+        g = GridSet(cells)
+        assert distinct_steps(cells) == steps
+        h = additive_set_test(g, F(2, steps))
+        assert h is not None
+        check_scores(cells, h, 2 / steps)
+        assert additive_set_test(g, 2 / steps + 1e-9) is None
+        assert additive_set_test(g, F(2, steps) + F(1, 10**30)) is None
+        # HiGHS draws the same line, away from its tolerances.
+        assert _additive_lp(g, 2 / steps - 1e-3) is not None
+        assert _additive_lp(g, 2 / steps + 1e-3) is None
+
+    def test_full_square_any_margin(self):
+        g = GridSet(np.ones((3, 3), dtype=bool))
+        assert additive_set_test(g, 5.0) == [[0.0] * 3, [0.0] * 3]
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"),
+                                         np.float64("nan"), "0.5", True, [0.1]])
+    def test_epsilon_must_be_a_finite_number(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            additive_set_test(upper_triangle_grid(4), epsilon)
+        with pytest.raises(ValidationError, match="epsilon"):
+            additive_set_test(majority_grid(2), epsilon)
+
+    def test_exact_and_numpy_margins(self):
+        g = upper_triangle_grid(8)
+        assert additive_set_test(g, F(1, 8)) is not None
+        assert additive_set_test(g, np.float64(0.125)) is not None
+        assert additive_set_test(g, np.int64(1)) is None
