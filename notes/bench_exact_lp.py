@@ -1,13 +1,13 @@
 """Parent-versus-change ladder of the exact simplex and its callers.
 
-    python notes/bench_exact_lp.py PARENT_TREE CHANGE_TREE --out BENCH_8.json
+    python notes/bench_exact_lp.py PARENT_TREE CHANGE_TREE --out BENCH_11.json
 
 The harness is ``notes/ladder.py``: each tree runs in its own interpreter,
 alternately, and every case's answers are compared across the trees.  The
 cases are ``lp.solve_lp`` on the transportation ladder of the ``exact_lp``
 workload, ``solve_zero_sum`` on n x n games and ``designer_optimum`` on
-rock-paper-scissors and two random games, each on exact and, where the
-workload has them, float inputs.
+rock-paper-scissors and three random games (3x3 with 2 states, 4x4 and 5x5
+with 3), each on exact and, where the workload has them, float inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import ladder
 
 TRANSPORT = ((2, 4), (2, 8), (3, 8), (3, 16))
 GAMES = range(3, 9)
-DESIGNERS = ((3, 2), (4, 3))
+DESIGNERS = ((3, 2), (4, 3), (5, 3))
 
 
 def cases():

@@ -124,10 +124,12 @@ def as_fraction(value) -> Fraction:
     floats.  Floats are converted exactly (every float is a dyadic
     rational), so round-tripping through this helper never introduces
     error.  A NumPy integer becomes a Python int first, so no ``int64``
-    ends up inside the Fraction.
+    ends up inside the Fraction.  Booleans are not numbers here.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValidationError("booleans are not numeric payloads")
     if isinstance(value, np.integer):
         return Fraction(int(value))
     if isinstance(value, (int, str)):
@@ -164,6 +166,6 @@ def number_from_json(value):
     """Inverse of :func:`number_to_json` (strings become Fractions)."""
     if isinstance(value, str):
         return as_fraction(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise ValidationError(f"expected a number or rational string, got {value!r}")

@@ -149,7 +149,7 @@ def _array_field(doc, key):
 
 def _grid_from_doc(doc):
     cells = _array_field(doc, "cells")
-    if cells.dtype == object or cells.ndim not in (2, 3):
+    if not np.issubdtype(cells.dtype, np.integer) or cells.ndim not in (2, 3):
         raise ValidationError("field 'cells': expected a nested integer array")
     if cells.max(initial=0) <= 1:
         return GridSet(cells)

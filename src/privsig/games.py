@@ -19,18 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._num import PROBABILITY_TOL, as_fraction
 from .errors import ValidationError
-from .lp import EQ, GEQ, solve_lp
+from .lp import EQ, GEQ, solve_lp, solve_lp_lexmax
 
 
-def _table(rows, arity=2):
-    out = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-    if arity == 2:
-        widths = {len(r) for r in out}
-        if len(widths) != 1:
-            raise ValidationError("payoff table rows have mixed lengths")
-    return out
+def _table(rows, field):
+    """``rows`` as a nonempty rectangular tuple of Fraction rows."""
+    arr = np.asarray(rows, dtype=object)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(
+            f"field '{field}': expected a nonempty table of equal-length rows"
+        )
+    try:
+        return tuple(tuple(as_fraction(v) for v in row) for row in arr.tolist())
+    except ValidationError as exc:
+        raise ValidationError(f"field '{field}': {exc}") from None
 
 
 def _probability_vector(values, name):
@@ -52,7 +58,7 @@ def solve_zero_sum(u):
     values are equal, as LP duality says they are.
     Returns ``(strategy1, strategy2, value)`` with exact rational entries.
     """
-    table = _table(u)
+    table = _table(u, "u")
     n1, n2 = len(table), len(table[0])
     sigma1, v1 = _maximin(table, n1, n2, row_player=True)
     sigma2, v2 = _maximin(table, n1, n2, row_player=False)
@@ -112,15 +118,15 @@ class DesignerProblem:
     equilibrium: tuple | None = None
 
     def __init__(self, game, designer_payoffs, prior, equilibrium=None):
-        game = _table(game)
-        payoffs = tuple(_table(t) for t in designer_payoffs)
+        game = _table(game, "game")
+        payoffs = tuple(_table(t, "designer_payoffs") for t in designer_payoffs)
         prior = _probability_vector(prior, "prior")
         if len(payoffs) != len(prior):
-            raise ValidationError("one designer table per state is required")
+            raise ValidationError("field 'designer_payoffs': one table per state is required")
         n1, n2 = len(game), len(game[0])
         for t in payoffs:
             if len(t) != n1 or any(len(r) != n2 for r in t):
-                raise ValidationError("designer tables must match the action sets")
+                raise ValidationError("field 'designer_payoffs': tables must match the action sets")
         if equilibrium is not None:
             s1 = _probability_vector(equilibrium[0], "strategy1")
             s2 = _probability_vector(equilibrium[1], "strategy2")
@@ -160,82 +166,36 @@ def designer_optimum(problem: DesignerProblem):
     (the privacy constraint on recommendations).  Returns ``(kernel,
     payoff)`` with the kernel indexed ``[state][a1][a2]``; among optimal
     kernels the lexicographically maximal one is returned, which makes the
-    output deterministic.
+    output deterministic.  One simplex run finds both: after the payoff, it
+    maximizes each kernel coordinate in turn on the optimal face
+    (:func:`privsig.lp.solve_lp_lexmax`).
     """
     n1, n2 = problem.n_actions
     eq = problem.equilibrium_product()
     live = [k for k in range(problem.n_states) if problem.prior[k] > 0]
     n_cells = n1 * n2
     n_vars = len(live) * n_cells
+    # Variable ki * n_cells + a1 * n2 + a2 is q(a1, a2 | live[ki]): each
+    # state's kernel sums to 1, and the prior-weighted kernels to eq.
+    constraints = [
+        ([int(v // n_cells == ki) for v in range(n_vars)], EQ, 1) for ki in range(len(live))
+    ]
+    for t in range(n_cells):
+        row = [problem.prior[live[v // n_cells]] if v % n_cells == t else 0 for v in range(n_vars)]
+        constraints.append((row, EQ, eq[t // n2][t % n2]))
+    objective = [
+        problem.prior[k] * u for k in live for row in problem.designer_payoffs[k] for u in row
+    ]
 
-    def var(ki, a1, a2):
-        return ki * n_cells + a1 * n2 + a2
-
-    base = []
-    for ki in range(len(live)):
-        row = [Fraction(0)] * n_vars
-        for t in range(n_cells):
-            row[ki * n_cells + t] = Fraction(1)
-        base.append((row, EQ, 1))
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = [Fraction(0)] * n_vars
-            for ki, k in enumerate(live):
-                row[var(ki, a1, a2)] = problem.prior[k]
-            base.append((row, EQ, eq[a1][a2]))
-
-    objective = [Fraction(0)] * n_vars
-    for ki, k in enumerate(live):
-        for a1 in range(n1):
-            for a2 in range(n2):
-                objective[var(ki, a1, a2)] = (
-                    problem.prior[k] * problem.designer_payoffs[k][a1][a2]
-                )
-
-    res = solve_lp(objective, base, maximize=True)
+    res = solve_lp_lexmax(objective, constraints)
     if not res.optimal:
         raise ArithmeticError(f"designer LP ended {res.status}")
-    payoff = res.value
-
-    # Lexicographic refinement: pin the optimal value, then maximize each
-    # kernel coordinate in turn.  Once the coordinates before it are pinned,
-    # the last cell of a state is forced by its row sum and every cell of
-    # the last live state by its column sum; those are read off the
-    # constraints instead of solved for.
-    cons = list(base) + [(objective, EQ, payoff)]
-    solution = []
-    last = len(live) - 1
-    for t in range(n_vars):
-        ki, cell = divmod(t, n_cells)
-        if ki == last:
-            taken = sum(
-                problem.prior[live[kj]] * solution[kj * n_cells + cell]
-                for kj in range(last)
-            )
-            value = (eq[cell // n2][cell % n2] - taken) / problem.prior[live[ki]]
-        elif cell == n_cells - 1:
-            value = Fraction(1) - sum(solution[t - cell:t])
-        else:
-            probe = [Fraction(0)] * n_vars
-            probe[t] = Fraction(1)
-            step = solve_lp(probe, cons, maximize=True)
-            if not step.optimal:
-                raise ArithmeticError("lexicographic refinement LP failed")
-            value = step.value
-            cons.append((probe, EQ, value))
-        solution.append(value)
-
-    kernel = []
-    for k in range(problem.n_states):
-        if k in live:
-            ki = live.index(k)
-            kernel.append(tuple(
-                tuple(solution[var(ki, a1, a2)] for a2 in range(n2))
-                for a1 in range(n1)
-            ))
-        else:
-            kernel.append(eq)
-    return tuple(kernel), payoff
+    x = iter(res.x)
+    kernel = tuple(
+        tuple(tuple(next(x) for _ in range(n2)) for _ in range(n1)) if k in live else eq
+        for k in range(problem.n_states)
+    )
+    return kernel, res.value
 
 
 def independent_baseline(problem: DesignerProblem):

@@ -10,6 +10,9 @@ programs in this package (designer problems, zero-sum games), where exact
 optima such as 10/9 matter; grid-scale programs go through scipy's HiGHS
 instead.
 
+The lexicographic maximum of :func:`solve_lp_lexmax` comes from the same
+run, pivoting on the optimal face (notes/decisions.md).
+
 All variables are nonnegative.  Free variables must be encoded by the caller
 as differences of two nonnegative ones.
 """
@@ -82,19 +85,19 @@ def _pivot(tableau, dens, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tableau, dens, basis, n_cols):
+def _run_simplex(tableau, dens, basis, cols):
     """Optimize the tableau in place; last row is the objective (maximize).
 
-    Returns "optimal" or "unbounded".  Bland's rule: entering column is the
-    lowest index with positive reduced cost, leaving row breaks ratio ties by
-    lowest basis index.  Denominators are positive, so signs are read off
-    the numerators, and the ratios ``b_i / a_i`` of two rows compare as
-    ``b_i * a_k`` against ``b_k * a_i`` because each row's denominator
-    cancels from its own ratio.
+    Returns "optimal" or "unbounded".  Only the columns in ``cols`` may
+    enter.  Bland's rule: entering column is the lowest one with positive
+    reduced cost, leaving row breaks ratio ties by lowest basis index.
+    Denominators are positive, so signs are read off the numerators, and the
+    ratios ``b_i / a_i`` of two rows compare as ``b_i * a_k`` against
+    ``b_k * a_i`` because each row's denominator cancels from its own ratio.
     """
     while True:
         obj = tableau[-1]
-        col = next((j for j in range(n_cols) if obj[j] > 0), None)
+        col = next((j for j in cols if obj[j] > 0), None)
         if col is None:
             return "optimal"
         best = None
@@ -131,11 +134,36 @@ def solve_lp(objective, constraints, maximize=True) -> LpResult:
     infinity, None) raises :class:`ValidationError` naming ``'objective'``
     or ``'constraints'``.
     """
-    n = len(objective)
     c, c_den = _integer_row(objective, "objective")
     if not maximize:
         c = [-v for v in c]
+    res = _solve([(c, c_den)], constraints)
+    if res.optimal and not maximize:
+        return LpResult("optimal", res.x, -res.value)
+    return res
 
+
+def solve_lp_lexmax(objective, constraints) -> LpResult:
+    """Maximize c.x, then x_0, x_1, ... in turn, each on the optimal face
+    of the ones before it: the lexicographically maximal optimum.
+
+    ``value`` is max c.x; inputs are as in :func:`solve_lp`.  The status is
+    "unbounded" when c.x, or a coordinate on its face, is unbounded.
+    """
+    n = len(objective)
+    units = [([0] * t + [1] + [0] * (n - t - 1), 1) for t in range(n)]
+    return _solve([_integer_row(objective, "objective"), *units], constraints)
+
+
+def _solve(objectives, constraints) -> LpResult:
+    """Maximize the ``(numerators, denominator)`` rows of ``objectives`` in
+    priority order; ``value`` is the first one's optimum.
+
+    After each optimum only its columns of zero reduced cost may enter, so
+    later pivots stay on its optimal face (notes/decisions.md,
+    "Lexicographic optimum on the optimal face").
+    """
+    n = len(objectives[0][0])
     rows = []
     senses = []
     for coeffs, sense, b in constraints:
@@ -195,7 +223,7 @@ def solve_lp(objective, constraints, maximize=True) -> LpResult:
                 obj, obj_den = _eliminate(obj, obj_den, b_col, tableau[i], dens[i])
         tableau.append(obj)
         dens.append(obj_den)
-        status = _run_simplex(tableau, dens, basis, n_cols)
+        status = _run_simplex(tableau, dens, basis, range(n_cols))
         # The objective row stores the negated value: > 0 means some
         # artificial variable is stuck at a positive level.
         if status != "optimal" or tableau[-1][-1] > 0:
@@ -217,25 +245,29 @@ def solve_lp(objective, constraints, maximize=True) -> LpResult:
             dens.pop(i)
             basis.pop(i)
 
-    # Phase 2: original objective, artificial columns frozen out.
+    # Phase 2: the objectives in turn, artificial columns frozen out.  Each
+    # optimum leaves only its columns of zero reduced cost free to enter.
     n_real = n + n_slack
     for line in tableau:
         del line[n_real:n_cols]
-    obj, obj_den = c + [0] * (n_slack + 1), c_den
-    for i, b_col in enumerate(basis):
-        if obj[b_col]:
-            obj, obj_den = _eliminate(obj, obj_den, b_col, tableau[i], dens[i])
-    tableau.append(obj)
-    dens.append(obj_den)
-    status = _run_simplex(tableau, dens, basis, n_real)
-    if status == "unbounded":
-        return LpResult("unbounded", (), None)
+    cols = range(n_real)
+    value = None
+    for c, c_den in objectives:
+        obj, obj_den = c + [0] * (n_slack + 1), c_den
+        for i, b_col in enumerate(basis):
+            if obj[b_col]:
+                obj, obj_den = _eliminate(obj, obj_den, b_col, tableau[i], dens[i])
+        tableau.append(obj)
+        dens.append(obj_den)
+        if _run_simplex(tableau, dens, basis, cols) == "unbounded":
+            return LpResult("unbounded", (), None)
+        obj, obj_den = tableau.pop(), dens.pop()
+        if value is None:
+            value = Fraction(-obj[-1], obj_den)
+        cols = [j for j in cols if obj[j] == 0]
 
     x = [Fraction(0)] * n
     for i, b_col in enumerate(basis):
         if b_col < n:
             x[b_col] = Fraction(tableau[i][-1], dens[i])
-    value = Fraction(-tableau[-1][-1], dens[-1])
-    if not maximize:
-        value = -value
     return LpResult("optimal", tuple(x), value)

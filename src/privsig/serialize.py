@@ -16,7 +16,7 @@ from ._num import number_from_json, number_to_json
 from .beliefs import AtomicDist, StepCDF, step_cdf
 from .errors import ValidationError
 from .feasibility_welfare import WelfareResult
-from .games import DesignerProblem
+from .games import DesignerProblem, _table
 from .infobounds import InfoReport
 from .structures import (
     Band,
@@ -76,9 +76,19 @@ def _field(doc, name, kind=None):
     if not isinstance(doc, dict) or name not in doc:
         raise ValidationError(f"field '{name}': missing")
     value = doc[name]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise ValidationError(f"field '{name}': wrong type")
     return value
+
+
+def _number(value, name):
+    """:func:`number_from_json` of ``value``; an error names the field."""
+    try:
+        return number_from_json(value)
+    except ValidationError as exc:
+        raise ValidationError(f"field '{name}': {exc}") from None
 
 
 # -- AtomicDist --------------------------------------------------------------
@@ -93,10 +103,7 @@ def atomic_dist_from_json(doc) -> AtomicDist:
     atoms = _field(doc, "atoms", list)
     pairs = []
     for entry in atoms:
-        pairs.append((
-            number_from_json(_field(entry, "x")),
-            number_from_json(_field(entry, "w")),
-        ))
+        pairs.append((_number(_field(entry, "x"), "x"), _number(_field(entry, "w"), "w")))
     return AtomicDist(pairs)
 
 
@@ -143,13 +150,13 @@ def structure_from_json(doc) -> FiniteStructure:
     m = _field(doc, "m", int)
     n = _field(doc, "n", int)
     alphabets = _field(doc, "alphabets", list)
-    if len(alphabets) != n:
-        raise ValidationError("field 'alphabets': expected one size per agent")
+    if len(alphabets) != n or not all(type(a) is int and a > 0 for a in alphabets):
+        raise ValidationError("field 'alphabets': expected one positive integer size per agent")
     raw = _field(doc, "pmf", list)
     entries = []
     exact = False
     for entry in raw:
-        p = number_from_json(_field(entry, "p"))
+        p = _number(_field(entry, "p"), "p")
         exact = exact or isinstance(p, Fraction)
         entries.append((
             _field(entry, "state", int),
@@ -232,16 +239,22 @@ def region_set_to_json(r: RegionSet) -> dict:
     return {"n": 2, "bands": bands}
 
 
+def _pairs(entry, name, count=None):
+    """``entry[name]`` as a list of ``[lo, hi]`` pairs, ``count`` of them if given."""
+    value = _field(entry, name, list)
+    if not all(isinstance(p, list) and len(p) == 2 for p in value) or (
+        count is not None and len(value) != count
+    ):
+        raise ValidationError(f"field '{name}': expected a list of [lo, hi] pairs")
+    return value
+
+
 def region_set_from_json(doc) -> RegionSet:
-    bands = []
-    for entry in _field(doc, "bands", list):
-        rect = _field(entry, "rect", list)
-        y = _field(entry, "y", list)
-        bands.append(Band(
-            ((rect[0][0], rect[0][1]), (rect[1][0], rect[1][1])),
-            tuple((lo, hi) for lo, hi in y),
-        ))
-    return RegionSet(tuple(bands))
+    shapes = [(_pairs(e, "rect", 2), _pairs(e, "y")) for e in _field(doc, "bands", list)]
+    try:
+        return RegionSet(tuple(Band(rect, y) for rect, y in shapes))
+    except ValidationError as exc:
+        raise ValidationError(f"field 'bands': {exc}") from None
 
 
 # -- Reports -----------------------------------------------------------------
@@ -272,24 +285,21 @@ def welfare_result_to_json(result: WelfareResult) -> dict:
 
 
 def designer_problem_from_json(doc) -> DesignerProblem:
-    u = _field(doc, "u", list)
+    game = _table(_field(doc, "u", list), "u")
     u_d = _field(doc, "u_d", dict)
-    prior = [number_from_json(v) for v in _field(doc, "prior", list)]
+    prior = [_number(v, "prior") for v in _field(doc, "prior", list)]
     tables = []
     for k in range(len(prior)):
         key = str(k)
         if key not in u_d:
             raise ValidationError(f"field 'u_d': missing table for state {k}")
-        tables.append([
-            [number_from_json(v) for v in row] for row in u_d[key]
-        ])
-    game = [[number_from_json(v) for v in row] for row in u]
+        tables.append(_table(u_d[key], "u_d"))
     equilibrium = None
     if "equilibrium" in doc:
         eq = doc["equilibrium"]
         equilibrium = (
-            [number_from_json(v) for v in _field(eq, "strategy1", list)],
-            [number_from_json(v) for v in _field(eq, "strategy2", list)],
+            [_number(v, "strategy1") for v in _field(eq, "strategy1", list)],
+            [_number(v, "strategy2") for v in _field(eq, "strategy2", list)],
         )
     return DesignerProblem(game, tables, prior, equilibrium)
 

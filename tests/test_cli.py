@@ -167,6 +167,14 @@ def test_designer_infinite_prior_exit_code(write, capsys):
 
 
 GAME = [[1, -1], [-1, 1]]
+DESIGNER = {"u": GAME, "u_d": {"0": [[1, 0], [0, 1]]}, "prior": [1]}
+STRUCTURE = {"m": 2, "n": 2, "alphabets": [2, 2], "pmf": [
+    {"state": 0, "signals": [0, 0], "p": "1/2"}, {"state": 1, "signals": [1, 1], "p": "1/2"},
+]}
+
+
+def band(rect, y):
+    return {"n": 2, "bands": [{"rect": rect, "y": y}]}
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -175,8 +183,24 @@ GAME = [[1, -1], [-1, 1]]
     ("welfare", {"u1": [[1, -1], [-1]], "u2": GAME, "prior": 0.5}, "u1"),
     ("uniqueness", {"cells": [[0, 1], [1]]}, "cells"),
     ("uniqueness", {"matrix": [[0, 1], [1]]}, "matrix"),
+    ("designer", {**DESIGNER, "u": [[]]}, "u"),
+    ("designer", {**DESIGNER, "u": [1, 2]}, "u"),
+    ("designer", {**DESIGNER, "u_d": {"0": 5}}, "u_d"),
+    ("disclose", {**STRUCTURE, "alphabets": ["a", 2]}, "alphabets"),
+    ("disclose", {**STRUCTURE, "alphabets": [-1, 2]}, "alphabets"),
+    ("disclose", {**STRUCTURE, "m": True}, "m"),
+    ("rasterize", band([[0, 1]], [["0", "1/2"]]), "rect"),
+    ("rasterize", band([[0, 1], [0, 1]], [[0]]), "y"),
+    ("uniqueness", {"cells": [["a", "b"], ["c", "d"]]}, "cells"),
+    ("uniqueness", {"cells": [[0.5, 1], [1, 0]]}, "cells"),
+    ("conjugate", {"atoms": [{"x": True, "w": 1}]}, "x"),
 ], ids=["welfare-prior-string", "welfare-prior-list", "welfare-ragged-u1",
-        "uniqueness-ragged-cells", "uniqueness-ragged-matrix"])
+        "uniqueness-ragged-cells", "uniqueness-ragged-matrix",
+        "designer-empty-row-u", "designer-flat-u", "designer-number-u_d",
+        "disclose-string-alphabet", "disclose-negative-alphabet", "disclose-boolean-m",
+        "rasterize-one-rect-pair", "rasterize-short-y-pair",
+        "uniqueness-string-cells", "uniqueness-fractional-cells",
+        "conjugate-boolean-x"])
 def test_malformed_document_exit_code(write, capsys, command, doc, field):
     code, out, err = run_cli(capsys, [command, "--in", write("d.json", doc)])
     assert code == 2

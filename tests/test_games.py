@@ -1,9 +1,11 @@
 """Zero-sum equilibria and the designer's recommendation LP."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from privsig import (
@@ -15,11 +17,40 @@ from privsig import (
     relaxed_optimum,
     solve_zero_sum,
 )
-from privsig import FiniteStructure, is_private_private
+from privsig import FiniteStructure, games, is_private_private
 from privsig.catalog import rock_paper_scissors_problem
+from privsig.lp import EQ, LpResult, solve_lp
+
+
+def lexicographic_oracle(objective, constraints, solve=solve_lp):
+    """Lexicographic maximum by fresh LPs: pin max c.x, then maximize each
+    coordinate in turn and pin it too.
+
+    One solve per coordinate, each from scratch: an independent oracle for
+    ``solve_lp_lexmax``, which pivots on one tableau throughout.
+    """
+    first = solve(objective, constraints)
+    if not first.optimal:
+        return first
+    cons = [*constraints, (objective, EQ, first.value)]
+    x = []
+    for t in range(len(objective)):
+        probe = [0] * len(objective)
+        probe[t] = 1
+        step = solve(probe, cons)
+        if not step.optimal:
+            return step
+        x.append(step.value)
+        cons.append((probe, EQ, step.value))
+    return LpResult("optimal", tuple(x), first.value)
 
 
 class TestZeroSum:
+    @pytest.mark.parametrize("u", [[[]], [], [1, 2], [[1, 2], [3]], 5])
+    def test_non_table_names_the_field(self, u):
+        with pytest.raises(ValidationError, match="'u'"):
+            solve_zero_sum(u)
+
     def test_rock_paper_scissors(self):
         s1, s2, value = solve_zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
         assert s1 == (F(1, 3),) * 3
@@ -207,3 +238,41 @@ class TestDesigner:
                 designer_payoffs=([[1, 0], [0, 1]],),
                 prior=(F(1, 2), F(1, 2)),
             )
+
+    @pytest.mark.parametrize("game, payoffs, field", [
+        ([[]], [[[]]], "game"),
+        ([], [[]], "game"),
+        ([[1, -1], [-1, 1]], [[[]]], "designer_payoffs"),
+        ([[1, -1], [-1, 1]], [5], "designer_payoffs"),
+        ([[1, -1], [-1, 1]], [[1, 0]], "designer_payoffs"),
+        ([[1, -1], [-1, "a"]], [[[1, 0], [0, 1]]], "game"),
+        ([[True, -1], [-1, 1]], [[[1, 0], [0, 1]]], "game"),
+    ])
+    def test_bad_tables_name_the_field(self, game, payoffs, field):
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            DesignerProblem(game, payoffs, [1])
+
+
+@st.composite
+def designer_problems(draw):
+    """Games with 2-4 actions a side and 1-3 states, zero-prior states included."""
+    n1, n2, states = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    cells = st.integers(-4, 4)
+    game = draw(st.lists(st.lists(cells, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
+    table = st.lists(st.lists(st.integers(0, 4), min_size=n2, max_size=n2),
+                     min_size=n1, max_size=n1)
+    payoffs = draw(st.lists(table, min_size=states, max_size=states))
+    weights = draw(st.lists(st.integers(0, 4), min_size=states, max_size=states)
+                   .filter(any))
+    return DesignerProblem(game, payoffs, [F(w, sum(weights)) for w in weights])
+
+
+@settings(max_examples=60, deadline=None)
+@given(designer_problems())
+def test_designer_optimum_matches_the_per_coordinate_loop(problem):
+    got = designer_optimum(problem)
+    with mock.patch.object(games, "solve_lp_lexmax", lexicographic_oracle):
+        want = designer_optimum(problem)
+    assert got == want
+    assert type(got[1]) is type(want[1]) is F
+    assert all(type(v) is F for state in got[0] for row in state for v in row)

@@ -1,5 +1,6 @@
-"""Exact simplex solver: unit cases, random cross-checks against HiGHS, and
-the integer-row tableau against the Fraction-tableau simplex it replaced."""
+"""Exact simplex solver: unit cases, random cross-checks against HiGHS, the
+integer-row tableau against the Fraction-tableau simplex it replaced, and the
+lexicographic solve against one fresh LP per coordinate."""
 
 import random
 from fractions import Fraction as F
@@ -13,7 +14,8 @@ from scipy.optimize import linprog
 from privsig import DesignerProblem, designer_optimum, games
 from privsig.catalog import rock_paper_scissors_problem
 from privsig.errors import ValidationError
-from privsig.lp import EQ, GEQ, LEQ, LpResult, solve_lp
+from privsig.lp import EQ, GEQ, LEQ, LpResult, solve_lp, solve_lp_lexmax
+from test_games import lexicographic_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +346,71 @@ def test_designer_optimum_matches_the_fraction_tableau(seed):
     ]
     for problem in problems:
         got = designer_optimum(problem)
-        with mock.patch.object(games, "solve_lp", oracle_solve_lp):
+        with mock.patch.object(games, "solve_lp", oracle_solve_lp), mock.patch.object(
+            games, "solve_lp_lexmax",
+            lambda c, cons: lexicographic_oracle(c, cons, oracle_solve_lp),
+        ):
             want = designer_optimum(problem)
         assert got == want
         assert [type(v) for t in got[0] for r in t for v in r] == [
             type(v) for t in want[0] for r in t for v in r
         ]
+
+
+# ---------------------------------------------------------------------------
+# Lexicographic maximum on the optimal face
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(linear_programs())
+def test_lexmax_matches_one_lp_per_coordinate(lp):
+    objective, cons, _ = lp
+    got = solve_lp_lexmax(objective, cons)
+    assert_same_result(got, lexicographic_oracle(objective, cons))
+    if got.optimal:
+        # The tie-breaks keep the objective at its optimum.
+        assert sum(F(c) * v for c, v in zip(objective, got.x)) == got.value
+
+
+def transport(costs, supplies, demands):
+    """Maximize the cost-weighted shipment x[i][j], flattened row by row."""
+    n = len(demands)
+    cons = []
+    for i, s in enumerate(supplies):
+        cons.append(([int(k // n == i) for k in range(len(costs))], EQ, s))
+    for j, d in enumerate(demands):
+        cons.append(([int(k % n == j) for k in range(len(costs))], EQ, d))
+    return costs, cons
+
+
+def test_lexmax_on_a_fully_tied_transportation_problem():
+    # Equal costs: every feasible shipment is optimal, so the tie-breaks
+    # alone pick the point: greedy from the first cell on.
+    costs, cons = transport([1] * 6, [1, 2], [1, 1, 1])
+    res = solve_lp_lexmax(costs, cons)
+    assert res.optimal and res.value == solve_lp(costs, cons).value == 3
+    assert res.x == (1, 0, 0, 0, 1, 1)
+    assert all(type(v) is F for v in res.x)
+
+
+def test_lexmax_keeps_the_objective_on_a_partly_tied_face():
+    # The cheap cell (0, 0) is zero at every optimum, and the tie-breaks
+    # must not move it up although it comes first.
+    costs, cons = transport([0, 2, 2, 2, 2, 2], [1, 1], [1, 1, 0])
+    res = solve_lp_lexmax(costs, cons)
+    assert res.optimal and res.value == solve_lp(costs, cons).value == 4
+    assert sum(c * v for c, v in zip(costs, res.x)) == res.value
+    assert res.x == (0, 1, 0, 1, 0, 0)
+
+
+def test_lexmax_unbounded_tie_break():
+    # max -x0 subject to x0 <= x1 has value 0 at x0 = 0, but x1 is
+    # unbounded on that face: there is no lexicographic maximum.
+    cons = [([1, -1], LEQ, 0)]
+    assert solve_lp([-1, 0], cons).value == 0
+    assert solve_lp_lexmax([-1, 0], cons) == LpResult("unbounded", (), None)
+
+
+def test_lexmax_infeasible_and_unbounded_objective():
+    assert solve_lp_lexmax([1], [([1], GEQ, 2), ([1], LEQ, 1)]).status == "infeasible"
+    assert solve_lp_lexmax([1], [([-1], LEQ, 1)]).status == "unbounded"
