@@ -1,6 +1,6 @@
 """Parent-versus-change ladder of the exact simplex and its callers.
 
-    python notes/bench_exact_lp.py PARENT_TREE CHANGE_TREE --out BENCH_11.json
+    python notes/bench_exact_lp.py PARENT_TREE CHANGE_TREE --runs 4 --out BENCH_13.json
 
 The harness is ``notes/ladder.py``: each tree runs in its own interpreter,
 alternately, and every case's answers are compared across the trees.  The
@@ -8,6 +8,8 @@ cases are ``lp.solve_lp`` on the transportation ladder of the ``exact_lp``
 workload, ``solve_zero_sum`` on n x n games and ``designer_optimum`` on
 rock-paper-scissors and three random games (3x3 with 2 states, 4x4 and 5x5
 with 3), each on exact and, where the workload has them, float inputs.
+A ``solve_lp`` rung answers ``(status, x, value)``, the fields that every
+version of ``LpResult`` has.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import ladder
 TRANSPORT = ((2, 4), (2, 8), (3, 8), (3, 16))
 GAMES = range(3, 9)
 DESIGNERS = ((3, 2), (4, 3), (5, 3))
+
+
+def _answer(res):
+    return res.status, res.x, res.value
 
 
 def cases():
@@ -35,7 +41,7 @@ def cases():
             rng = random.Random(f"bench8/transport/{supplies}x{demands}/{path}")
             objective, cons = transport_lp(rng, supplies, demands, exact)
             out.append(("solve_lp", path, {"supplies": supplies, "demands": demands},
-                        lambda o=objective, c=cons: lp.solve_lp(o, c, maximize=True)))
+                        lambda o=objective, c=cons: _answer(lp.solve_lp(o, c, maximize=True))))
         for n in GAMES:
             u = random_game(random.Random(f"bench8/game/{n}/{path}"), n, exact)
             out.append(("solve_zero_sum", path, {"n": n},

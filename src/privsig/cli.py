@@ -139,18 +139,20 @@ def _cmd_pareto_check(args):
     _emit_json({"pareto_optimal": is_pareto_optimal_2x2(mu1, mu2, args.tol)})
 
 
-def _array_field(doc, key):
-    """``doc[key]`` as a numpy array; ragged nesting is a validation error."""
+def _integer_array(doc, key, ndims):
+    """``doc[key]`` as an integer array with one of the dimensions ``ndims``;
+    ragged nesting, other entries and other dimensions are validation errors."""
     try:
-        return np.asarray(doc.get(key))
+        arr = np.asarray(doc.get(key))
     except ValueError:
         raise ValidationError(f"field '{key}': rows must have equal lengths") from None
+    if not np.issubdtype(arr.dtype, np.integer) or arr.ndim not in ndims:
+        raise ValidationError(f"field '{key}': expected a nested integer array")
+    return arr
 
 
 def _grid_from_doc(doc):
-    cells = _array_field(doc, "cells")
-    if not np.issubdtype(cells.dtype, np.integer) or cells.ndim not in (2, 3):
-        raise ValidationError("field 'cells': expected a nested integer array")
+    cells = _integer_array(doc, "cells", (2, 3))
     if cells.max(initial=0) <= 1:
         return GridSet(cells)
     return GridPartition(cells)
@@ -159,7 +161,7 @@ def _grid_from_doc(doc):
 def _cmd_uniqueness(args):
     doc = _read_json(args.infile)
     if "matrix" in doc:
-        mat = _array_field(doc, "matrix")
+        mat = _integer_array(doc, "matrix", (2,))
         unique = switch_uniqueness_matrix(mat)
         witness = None
         if not unique:

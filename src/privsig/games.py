@@ -10,20 +10,23 @@ state-conditional recommendation kernel.
 
 Uniqueness of the (correlated) equilibrium is the caller's responsibility;
 it holds for generic zero-sum games and this module documents rather than
-verifies it.  All arithmetic is exact: payoffs are coerced to Fractions and
-optima like 10/9 are returned as such.
+verifies it.  The equilibrium itself comes from one LP, the column
+player's, whose duals give the row player's strategy; it is certified
+exactly before it is returned.  All arithmetic is exact: payoffs are
+coerced to Fractions and optima like 10/9 are returned as such.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from ._num import PROBABILITY_TOL, as_fraction
 from .errors import ValidationError
-from .lp import EQ, GEQ, solve_lp, solve_lp_lexmax
+from .lp import EQ, LEQ, _integer_row, solve_lp, solve_lp_lexmax
 
 
 def _table(rows, field):
@@ -54,41 +57,60 @@ def _probability_vector(values, name):
 def solve_zero_sum(u):
     """Mixed equilibrium of a zero-sum game from the row player's payoffs.
 
-    Solves the maximin LP for each player and checks that the two exact
-    values are equal, as LP duality says they are.
-    Returns ``(strategy1, strategy2, value)`` with exact rational entries.
+    One LP gives both strategies (notes/decisions.md, "One LP per zero-sum
+    game").  The table goes on integer numerators ``N`` over one common
+    denominator ``D`` and is shifted by an integer ``t`` so that every entry
+    of ``M = N + t`` is at least 1.  The column player's packing LP
+    ``max sum(y)  s.t.  M y <= 1, y >= 0`` has only ``<=`` rows with
+    right-hand side 1, so it runs no phase 1; its optimum is ``1 / v_M``
+    for the value ``v_M`` of ``M``.  Then ``strategy2 = y / sum(y)``, the
+    row player's strategy is the duals over their sum, and the value is
+    ``(v_M - t) / D``.  The equilibrium is checked exactly before it is
+    returned: the row strategy must secure the value against every column
+    and the column strategy concede no more to any row, or
+    ``ArithmeticError`` is raised.
+
+    Returns ``(strategy1, strategy2, value)`` with Fraction entries.  Where
+    the equilibrium is not unique, which optimal pair comes back is the
+    simplex's choice.
     """
     table = _table(u, "u")
-    n1, n2 = len(table), len(table[0])
-    sigma1, v1 = _maximin(table, n1, n2, row_player=True)
-    sigma2, v2 = _maximin(table, n1, n2, row_player=False)
-    if v1 != v2:
-        raise ArithmeticError("maximin values of the two players disagree")
-    return sigma1, sigma2, v1
-
-
-def _maximin(table, n1, n2, row_player):
-    n_own = n1 if row_player else n2
-    n_other = n2 if row_player else n1
-    # Variables: p_1..p_n_own, v_plus, v_minus (value = v_plus - v_minus).
-    n_vars = n_own + 2
-    cons = []
-    for j in range(n_other):
-        row = [Fraction(0)] * n_vars
-        for i in range(n_own):
-            gain = table[i][j] if row_player else -table[j][i]
-            row[i] = gain
-        row[n_own] = Fraction(-1)
-        row[n_own + 1] = Fraction(1)
-        cons.append((row, GEQ, 0))
-    cons.append(([1] * n_own + [0, 0], EQ, 1))
-    objective = [0] * n_own + [1, -1]
-    res = solve_lp(objective, cons, maximize=True)
+    flat, den = _integer_row([v for row in table for v in row], "u")
+    n2 = len(table[0])
+    nums = [flat[k:k + n2] for k in range(0, len(flat), n2)]
+    shift = 1 - min(flat)
+    res = solve_lp([1] * n2, [([v + shift for v in row], LEQ, 1) for row in nums])
     if not res.optimal:
         raise ArithmeticError(f"zero-sum LP ended {res.status}")
-    strategy = tuple(res.x[:n_own])
-    value = res.value if row_player else -res.value
-    return strategy, value
+    # Integer weights proportional to the two strategies.
+    p, _ = _integer_row(res.duals, "duals")
+    q, _ = _integer_row(res.x, "x")
+    # res.value = 1 / v_M, so the value (v_M - shift) / den is:
+    total = res.value
+    value = Fraction(total.denominator - shift * total.numerator, total.numerator * den)
+    _certify_equilibrium(nums, den, p, q, value)
+    return _distribution(p), _distribution(q), value
+
+
+def _distribution(weights):
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+def _certify_equilibrium(nums, den, p, q, value):
+    """Raise ArithmeticError unless the row weights ``p`` and column weights
+    ``q``, normalized, give ``min_j (pA)_j == value == max_i (Aq)_i`` for
+    ``A = nums / den``.  Only int products: O(n1 * n2) of them."""
+    p_sum, q_sum = sum(p), sum(q)
+    secured = min(sum(map(mul, p, col)) for col in zip(*nums))
+    conceded = max(sum(map(mul, row, q)) for row in nums)
+    # (pA)_j = secured / (p_sum * den) and (Aq)_i = conceded / (q_sum * den).
+    vn, vd = value.numerator, value.denominator
+    if not (
+        min(p) >= 0 < p_sum and min(q) >= 0 < q_sum
+        and secured * vd == vn * p_sum * den and conceded * vd == vn * q_sum * den
+    ):
+        raise ArithmeticError("zero-sum equilibrium failed its certificate")
 
 
 @dataclass(frozen=True)

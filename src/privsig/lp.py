@@ -11,7 +11,11 @@ optima such as 10/9 matter; grid-scale programs go through scipy's HiGHS
 instead.
 
 The lexicographic maximum of :func:`solve_lp_lexmax` comes from the same
-run, pivoting on the optimal face (notes/decisions.md).
+run, pivoting on the optimal face (notes/decisions.md).  When every
+constraint is an inequality, the duals are read off the final objective row
+at the slack columns (``LpResult.duals``); a program of ``<=`` rows with
+nonnegative right-hand sides starts from the slack basis and runs no
+phase 1.
 
 All variables are nonnegative.  Free variables must be encoded by the caller
 as differences of two nonnegative ones.
@@ -31,9 +35,21 @@ LEQ, GEQ, EQ = "<=", ">=", "="
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of a solve.
+
+    ``duals`` has one Fraction per constraint, in input order, when the
+    program is optimal and has no ``"="`` row, and is None otherwise.  They
+    are an optimal solution of the dual program, a shadow price per
+    right-hand side, so ``sum(b_i * duals[i]) == value``.  For a
+    maximization ``A^T duals >= c``, with ``duals[i] >= 0`` on ``"<="`` rows
+    and ``<= 0`` on ``">="`` rows; for a minimization each of these
+    inequalities is reversed.
+    """
+
     status: str            # "optimal" | "infeasible" | "unbounded"
     x: tuple               # optimal point (empty unless optimal)
     value: Fraction | None
+    duals: tuple | None = None
 
     @property
     def optimal(self) -> bool:
@@ -132,14 +148,15 @@ def solve_lp(objective, constraints, maximize=True) -> LpResult:
 
     A coefficient or right-hand side that is not a finite number (NaN,
     infinity, None) raises :class:`ValidationError` naming ``'objective'``
-    or ``'constraints'``.
+    or ``'constraints'``.  The duals are described on :class:`LpResult`.
     """
     c, c_den = _integer_row(objective, "objective")
     if not maximize:
         c = [-v for v in c]
     res = _solve([(c, c_den)], constraints)
     if res.optimal and not maximize:
-        return LpResult("optimal", res.x, -res.value)
+        duals = None if res.duals is None else tuple(-y for y in res.duals)
+        return LpResult("optimal", res.x, -res.value, duals)
     return res
 
 
@@ -147,8 +164,9 @@ def solve_lp_lexmax(objective, constraints) -> LpResult:
     """Maximize c.x, then x_0, x_1, ... in turn, each on the optimal face
     of the ones before it: the lexicographically maximal optimum.
 
-    ``value`` is max c.x; inputs are as in :func:`solve_lp`.  The status is
-    "unbounded" when c.x, or a coordinate on its face, is unbounded.
+    ``value`` and ``duals`` are those of max c.x; inputs are as in
+    :func:`solve_lp`.  The status is "unbounded" when c.x, or a coordinate
+    on its face, is unbounded.
     """
     n = len(objective)
     units = [([0] * t + [1] + [0] * (n - t - 1), 1) for t in range(n)]
@@ -166,11 +184,13 @@ def _solve(objectives, constraints) -> LpResult:
     n = len(objectives[0][0])
     rows = []
     senses = []
+    given = []
     for coeffs, sense, b in constraints:
         if len(coeffs) != n:
             raise ValidationError("constraint arity does not match objective")
         if sense not in (LEQ, GEQ, EQ):
             raise ValidationError(f"unknown constraint sense {sense!r}")
+        given.append(sense)
         nums, den = _integer_row([*coeffs, b], "constraints")
         if nums[-1] < 0:
             nums = [-v for v in nums]
@@ -251,7 +271,7 @@ def _solve(objectives, constraints) -> LpResult:
     for line in tableau:
         del line[n_real:n_cols]
     cols = range(n_real)
-    value = None
+    value = duals = None
     for c, c_den in objectives:
         obj, obj_den = c + [0] * (n_slack + 1), c_den
         for i, b_col in enumerate(basis):
@@ -264,10 +284,29 @@ def _solve(objectives, constraints) -> LpResult:
         obj, obj_den = tableau.pop(), dens.pop()
         if value is None:
             value = Fraction(-obj[-1], obj_den)
+            if n_slack == m:  # no "=" row, whose dual left with its artificial column
+                duals = _duals(obj, obj_den, n, given)
         cols = [j for j in cols if obj[j] == 0]
 
     x = [Fraction(0)] * n
     for i, b_col in enumerate(basis):
         if b_col < n:
             x[b_col] = Fraction(tableau[i][-1], dens[i])
-    return LpResult("optimal", tuple(x), value)
+    return LpResult("optimal", tuple(x), value, duals)
+
+
+def _duals(obj, obj_den, n, senses):
+    """Duals of an all-inequality program from its optimal objective row.
+
+    The row holds ``c - y^T [A | S]`` with ``y`` the row multipliers, and
+    constraint ``i``'s slack column ``n + i`` is ``+1`` on a ``<=`` row and
+    ``-1`` on a ``>=`` row in the orientation the caller gave (a row negated
+    for its right-hand side had its sense flipped with it).  So
+    ``y_i = -r`` on ``<=`` rows and ``y_i = r`` on ``>=`` rows, ``r`` the
+    slack column's reduced cost, and the right-hand side entry
+    ``-y.b = -value`` is strong duality.
+    """
+    return tuple(
+        Fraction(-obj[n + i] if sense == LEQ else obj[n + i], obj_den)
+        for i, sense in enumerate(senses)
+    )

@@ -17,6 +17,7 @@ antiderivative").
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,6 +176,31 @@ def _mean(vecs, weights, group):
 # FiniteStructure
 # ---------------------------------------------------------------------------
 
+def _entry_index(entries, sizes):
+    """The index arrays ``(states, *signals)`` of ``entries`` for
+    ``np.add.at``, checked against ``sizes`` with one NumPy pass per field."""
+    states = [e[0] for e in entries]
+    signals = [e[1] for e in entries]
+    try:
+        widths = set(map(len, signals))
+    except TypeError:
+        raise ValidationError("field 'signals': expected a list of indices per entry") from None
+    if widths - {len(sizes) - 1}:
+        raise ValidationError(f"field 'signals': expected {len(sizes) - 1} indices per entry")
+    flat = list(itertools.chain.from_iterable(signals))
+    columns = []
+    for field, values, bound in (("state", states, sizes[:1]), ("signals", flat, sizes[1:])):
+        kinds = set(map(type, values))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
+            raise ValidationError(f"field '{field}': expected integer indices")
+        # int64, or Python ints in an object array when some are too large.
+        index = np.array(values, dtype=None if values else int).reshape(len(entries), len(bound))
+        if ((index < 0) | (index >= np.array(bound))).any():
+            raise ValidationError(f"field '{field}': expected indices below {list(bound)}")
+        columns.extend(index.T)
+    return tuple(columns)
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """Joint probability table over (state, signal_1, ..., signal_n).
@@ -247,18 +273,21 @@ class FiniteStructure:
 
     @classmethod
     def from_entries(cls, m, alphabet_sizes, entries, exact=False):
-        """Build from a sparse list of ``(state, signals, p)`` entries."""
+        """Build from a sparse list of ``(state, signals, p)`` entries.
+
+        The state and every signal must be an int (not a bool) in
+        ``[0, m)`` and ``[0, alphabet_size)``; entries at the same cell add.
+        """
         values = [as_fraction(p) if exact else float(p) for _, _, p in entries]
         den = None
         if exact:
             values, den = _common_denominator(values)
             values = values.tolist()
-        arr = np.zeros((m, *alphabet_sizes), dtype=object if exact else float)
-        for (state, signals, _), v in zip(entries, values):
-            signals = tuple(signals)
-            if not (0 <= state < m) or len(signals) != len(alphabet_sizes):
-                raise ValidationError(f"entry ({state}, {signals}) out of range")
-            arr[(state, *signals)] += v
+        sizes = (m, *alphabet_sizes)
+        index = _entry_index(entries, sizes)
+        dtype = _int_dtype(sum(map(abs, values))) if exact else float
+        arr = np.zeros(sizes, dtype=dtype)
+        np.add.at(arr, index, np.array(values, dtype=dtype))
         return cls._of(arr, den)
 
     @property

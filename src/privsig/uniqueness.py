@@ -111,9 +111,9 @@ def switch_uniqueness_matrix(mat) -> bool:
     """
     arr = np.asarray(mat)
     if arr.ndim != 2:
-        raise ValidationError("expected a matrix")
+        raise ValidationError("field 'matrix': expected a 2-D array")
     if not np.isin(arr, (0, 1)).all():
-        raise ValidationError("matrix entries must be 0 or 1")
+        raise ValidationError("field 'matrix': entries must be 0 or 1")
     # No switch means any two rows are nested, i.e. the rows form a chain
     # under inclusion: sorted by size, each row contains the next.
     arr = arr.astype(bool)

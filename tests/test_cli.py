@@ -173,6 +173,11 @@ STRUCTURE = {"m": 2, "n": 2, "alphabets": [2, 2], "pmf": [
 ]}
 
 
+def signals(first):
+    """STRUCTURE with the signals of its first entry replaced."""
+    return {**STRUCTURE, "pmf": [{**STRUCTURE["pmf"][0], "signals": first}, STRUCTURE["pmf"][1]]}
+
+
 def band(rect, y):
     return {"n": 2, "bands": [{"rect": rect, "y": y}]}
 
@@ -194,18 +199,39 @@ def band(rect, y):
     ("uniqueness", {"cells": [["a", "b"], ["c", "d"]]}, "cells"),
     ("uniqueness", {"cells": [[0.5, 1], [1, 0]]}, "cells"),
     ("conjugate", {"atoms": [{"x": True, "w": 1}]}, "x"),
+    ("disclose", signals([-1, 0]), "signals"),
+    ("disclose", signals([0, "a"]), "signals"),
+    ("disclose", signals([0, True]), "signals"),
+    ("disclose", signals([0, 2]), "signals"),
+    ("uniqueness", {"matrix": [["a", "b"], ["c", "d"]]}, "matrix"),
+    ("uniqueness", {"matrix": [[0.5, 1], [1, 0]]}, "matrix"),
+    ("uniqueness", {"matrix": [0, 1]}, "matrix"),
+    ("uniqueness", {"matrix": [[2, 0], [0, 1]]}, "matrix"),
 ], ids=["welfare-prior-string", "welfare-prior-list", "welfare-ragged-u1",
         "uniqueness-ragged-cells", "uniqueness-ragged-matrix",
         "designer-empty-row-u", "designer-flat-u", "designer-number-u_d",
         "disclose-string-alphabet", "disclose-negative-alphabet", "disclose-boolean-m",
         "rasterize-one-rect-pair", "rasterize-short-y-pair",
         "uniqueness-string-cells", "uniqueness-fractional-cells",
-        "conjugate-boolean-x"])
+        "conjugate-boolean-x",
+        "disclose-negative-signal", "disclose-string-signal", "disclose-boolean-signal",
+        "disclose-signal-beyond-alphabet",
+        "uniqueness-string-matrix", "uniqueness-fractional-matrix", "uniqueness-flat-matrix",
+        "uniqueness-non-binary-matrix"])
 def test_malformed_document_exit_code(write, capsys, command, doc, field):
     code, out, err = run_cli(capsys, [command, "--in", write("d.json", doc)])
     assert code == 2
     assert out == ""
     assert f"'{field}'" in err and "Traceback" not in err
+
+
+def test_bounds_refuse_a_negative_signal(write, capsys):
+    # numpy's negative indexing used to read signal -1 as signal 1, so this
+    # printed the report of signals [1, 0].
+    path = write("s.json", signals([-1, 0]))
+    code, out, err = run_cli(capsys, ["bounds", "--ineq", "binary", "--in", path])
+    assert code == 2 and out == ""
+    assert "'signals'" in err and "Traceback" not in err
 
 
 def test_welfare(write, capsys):

@@ -17,9 +17,9 @@ from privsig import (
     relaxed_optimum,
     solve_zero_sum,
 )
-from privsig import FiniteStructure, games, is_private_private
+from privsig import FiniteStructure, games, is_private_private, lp
 from privsig.catalog import rock_paper_scissors_problem
-from privsig.lp import EQ, LpResult, solve_lp
+from privsig.lp import EQ, GEQ, LpResult, solve_lp
 
 
 def lexicographic_oracle(objective, constraints, solve=solve_lp):
@@ -42,7 +42,37 @@ def lexicographic_oracle(objective, constraints, solve=solve_lp):
             return step
         x.append(step.value)
         cons.append((probe, EQ, step.value))
-    return LpResult("optimal", tuple(x), first.value)
+    return LpResult("optimal", tuple(x), first.value, first.duals)
+
+
+def maximin_oracle(u):
+    """Equilibrium by two maximin LPs, one per player, each with a split
+    value variable ``v+ - v-``: an independent oracle for the one packing LP
+    of ``solve_zero_sum``."""
+    table = [[F(v) for v in row] for row in u]
+    n1, n2 = len(table), len(table[0])
+
+    def maximin(gains, n_own, n_other):
+        cons = [([gains(i, j) for i in range(n_own)] + [-1, 1], GEQ, 0) for j in range(n_other)]
+        cons.append(([1] * n_own + [0, 0], EQ, 1))
+        res = solve_lp([0] * n_own + [1, -1], cons)
+        assert res.optimal
+        return res.x[:n_own], res.value
+
+    s1, v1 = maximin(lambda i, j: table[i][j], n1, n2)
+    s2, v2 = maximin(lambda i, j: -table[j][i], n2, n1)
+    assert v1 == -v2
+    return s1, s2, v1
+
+
+def assert_certified(u, s1, s2, value):
+    """Fraction distributions with min_j (s1 u)_j == value == max_i (u s2)_i."""
+    table = [[F(v) for v in row] for row in u]
+    for s, n in ((s1, len(table)), (s2, len(table[0]))):
+        assert len(s) == n and all(type(v) is F and v >= 0 for v in s) and sum(s) == 1
+    assert type(value) is F
+    assert min(sum(p * row[j] for p, row in zip(s1, table)) for j in range(len(s2))) == value
+    assert max(sum(a * q for a, q in zip(row, s2)) for row in table) == value
 
 
 class TestZeroSum:
@@ -84,6 +114,71 @@ class TestZeroSum:
                 method="highs",
             )
             assert abs(float(value) - res.x[n]) < 1e-7
+
+    def test_one_lp_solve_and_no_phase_1(self):
+        with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve, \
+                mock.patch.object(lp, "_run_simplex", wraps=lp._run_simplex) as simplex:
+            s1, s2, value = solve_zero_sum([[3, -1, 2], [-2, 4, 0], [1, 1, -3]])
+        assert solve.call_count == 1
+        # Phase 2 only: the packing LP starts from the slack basis.
+        assert simplex.call_count == 1
+        assert_certified([[3, -1, 2], [-2, 4, 0], [1, 1, -3]], s1, s2, value)
+
+    def test_wrong_duals_fail_the_certificate(self):
+        # Rock-paper-scissors' row player must mix evenly; a skewed dual
+        # vector of the right total is caught by the certificate.
+        def skewed(objective, constraints):
+            res = solve_lp(objective, constraints)
+            duals = (res.duals[0] + res.duals[1], F(0), res.duals[2])
+            return LpResult(res.status, res.x, res.value, duals)
+
+        with mock.patch.object(games, "solve_lp", skewed), \
+                pytest.raises(ArithmeticError, match="certificate"):
+            solve_zero_sum([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
+
+    def test_dyadic_floats_and_fractions_stay_exact(self):
+        # No saddle point: with u = [[a, b], [c, d]] and s = a - b - c + d,
+        # p_1 = (d - c) / s, q_1 = (d - b) / s and value = (ad - bc) / s.
+        u = [[0.5, -0.25], [F(-1, 3), 1]]
+        got = solve_zero_sum(u)
+        assert got == ((F(16, 25), F(9, 25)), (F(3, 5), F(2, 5)), F(1, 5))
+        assert_certified(u, *got)
+
+
+#: Payoffs of the three input kinds: ints, Fractions and dyadic floats.
+payoffs = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(lambda k: k / 8, st.integers(-72, 72)),
+)
+
+
+@st.composite
+def zero_sum_games(draw):
+    """Rectangular n1 x n2 games, 1 <= n1, n2 <= 8: random, constant, or
+    with a row or column dominated by a copy of another."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "constant", "dominated"]))
+    if kind == "constant":
+        v = draw(payoffs)
+        return [[v] * n2 for _ in range(n1)]
+    u = draw(st.lists(st.lists(payoffs, min_size=n2, max_size=n2), min_size=n1, max_size=n1))
+    if kind == "dominated":
+        # A row below another row, and a column above another column.
+        i, k = draw(st.integers(0, n1 - 1)), draw(st.integers(0, n1 - 1))
+        u[k] = [F(v) - draw(st.integers(0, 3)) for v in u[i]]
+        j, l = draw(st.integers(0, n2 - 1)), draw(st.integers(0, n2 - 1))
+        for row in u:
+            row[l] = F(row[j]) + draw(st.integers(0, 3))
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_sum_games())
+def test_zero_sum_matches_the_two_maximin_lps(u):
+    s1, s2, value = solve_zero_sum(u)
+    assert value == maximin_oracle(u)[2]
+    assert_certified(u, s1, s2, value)
 
 
 class TestDesigner:

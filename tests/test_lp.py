@@ -1,6 +1,7 @@
 """Exact simplex solver: unit cases, random cross-checks against HiGHS, the
-integer-row tableau against the Fraction-tableau simplex it replaced, and the
-lexicographic solve against one fresh LP per coordinate."""
+integer-row tableau against the Fraction-tableau simplex it replaced, the
+duals against LP duality, and the lexicographic solve against one fresh LP
+per coordinate."""
 
 import random
 from fractions import Fraction as F
@@ -55,12 +56,14 @@ def _oracle_run_simplex(tableau, basis, n_cols):
 
 
 def oracle_solve_lp(objective, constraints, maximize=True):
-    """Two-phase Bland simplex with every tableau entry a Fraction."""
+    """Two-phase Bland simplex with every tableau entry a Fraction; the duals
+    of an all-inequality program are read off its final objective row."""
     n = len(objective)
     c = [F(v) for v in objective]
     if not maximize:
         c = [-v for v in c]
     rows, senses, rhs = [], [], []
+    given = [sense for _, sense, _ in constraints]
     for coeffs, sense, b in constraints:
         row = [F(v) for v in coeffs]
         b = F(b)
@@ -132,16 +135,24 @@ def oracle_solve_lp(objective, constraints, maximize=True):
         if b_col < n:
             x[b_col] = tableau[i][-1]
     value = -tableau[-1][-1]
-    return LpResult("optimal", tuple(x), value if maximize else -value)
+    duals = None
+    if EQ not in given:
+        # Slack i is +1 in a "<=" row and -1 in a ">=" row as given, and
+        # its reduced cost is minus the row's multiplier times that entry.
+        sign = 1 if maximize else -1
+        duals = tuple(sign * (-tableau[-1][n + i] if sense == LEQ else tableau[-1][n + i])
+                      for i, sense in enumerate(given))
+    return LpResult("optimal", tuple(x), value if maximize else -value, duals)
 
 
 def assert_same_result(got, want):
-    """Equal status, point and value, each with the oracle's types."""
+    """Equal status, point, value and duals, each with the oracle's types."""
     assert got.status == want.status
-    assert got.x == want.x and got.value == want.value
+    assert got.x == want.x and got.value == want.value and got.duals == want.duals
     assert [type(v) for v in got.x] == [type(v) for v in want.x]
+    assert [type(v) for v in got.duals or ()] == [type(v) for v in want.duals or ()]
     assert type(got.value) is type(want.value)
-    for v in (*got.x, *([got.value] if got.value is not None else [])):
+    for v in (*got.x, *(got.duals or ()), *([got.value] if got.value is not None else [])):
         assert type(v.numerator) is int and type(v.denominator) is int
 
 
@@ -318,6 +329,66 @@ def test_integer_rows_match_the_fraction_tableau(lp):
         solve_lp(objective, cons, maximize),
         oracle_solve_lp(objective, cons, maximize),
     )
+
+
+def assert_dual_optimal(res, objective, cons, maximize):
+    """``res.duals`` is dual-feasible, with the documented signs, and
+    ``b.y == c.x == value`` exactly."""
+    y = res.duals
+    assert len(y) == len(cons) and all(type(v) is F for v in y)
+    flip = 1 if maximize else -1
+    for v, (_, sense, _) in zip(y, cons):
+        assert flip * v >= 0 if sense == LEQ else flip * v <= 0
+    for j, c in enumerate(objective):
+        assert flip * (sum(v * F(row[j]) for v, (row, _, _) in zip(y, cons)) - F(c)) >= 0
+    assert sum(v * F(b) for v, (_, _, b) in zip(y, cons)) == res.value
+    assert sum(F(c) * v for c, v in zip(objective, res.x)) == res.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_programs())
+def test_duals_only_without_equality_rows(lp):
+    objective, cons, maximize = lp
+    res = solve_lp(objective, cons, maximize)
+    if not res.optimal or any(sense == EQ for _, sense, _ in cons):
+        assert res.duals is None
+    else:
+        assert_dual_optimal(res, objective, cons, maximize)
+
+
+#: The same programs with every "=" row turned into an inequality.
+inequality_programs = st.builds(
+    lambda lp, flip: (lp[0], [(c, (GEQ if flip else LEQ) if s == EQ else s, b)
+                              for c, s, b in lp[1]], lp[2]),
+    linear_programs(), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inequality_programs)
+def test_duals_are_dual_optimal(lp):
+    objective, cons, maximize = lp
+    res = solve_lp(objective, cons, maximize)
+    if res.optimal:
+        assert_dual_optimal(res, objective, cons, maximize)
+    else:
+        assert res.duals is None
+
+
+def test_duals_of_the_basic_program():
+    # max x0 + x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6: both rows bind, and
+    # (1, 1) = y (1, 2) + y' (3, 1) gives y = 2/5, y' = 1/5.
+    res = solve_lp([1, 1], [([1, 2], LEQ, 4), ([3, 1], LEQ, 6)])
+    assert res.duals == (F(2, 5), F(1, 5))
+    # min x0 + x1 s.t. x0 + x1 >= 3: raising the bound raises the minimum.
+    assert solve_lp([1, 1], [([1, 1], GEQ, 3)], maximize=False).duals == (1,)
+    # A row negated for its right-hand side keeps the sign of its own sense.
+    assert solve_lp([1, 1], [([-1, -1], GEQ, -1)]).duals == (-1,)
+
+
+def test_lexmax_duals_are_those_of_the_objective():
+    cons = [([1, 1], LEQ, 1), ([1, 0], LEQ, 1)]
+    assert solve_lp_lexmax([1, 1], cons).duals == solve_lp([1, 1], cons).duals
 
 
 def random_designer_problem(rng, n1, n2, states):

@@ -139,6 +139,52 @@ class TestValidation:
         with pytest.raises(ValidationError, match="weights sum"):
             SimplexDist([((F(1), F(0)), 1 + table + tiny)])
 
+    @pytest.mark.parametrize("entry, field", [
+        ((0, (-1, 0), 1), "signals"),
+        ((0, (0, 2), 1), "signals"),
+        ((0, (0, "a"), 1), "signals"),
+        ((0, (0, True), 1), "signals"),
+        ((0, (0, 0.0), 1), "signals"),
+        ((0, (0, 2**70), 1), "signals"),
+        ((0, (0,), 1), "signals"),
+        ((0, 5, 1), "signals"),
+        ((2, (0, 0), 1), "state"),
+        ((-1, (0, 0), 1), "state"),
+        ((False, (0, 0), 1), "state"),
+    ])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_from_entries_checks_every_index(self, entry, field, exact):
+        # Before the check, (0, (-1, 0)) wrapped to signal 1 by negative indexing.
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            FiniteStructure.from_entries(2, (2, 2), [entry, (1, (1, 1), 0)], exact=exact)
+
+    def test_from_entries_adds_repeated_cells(self):
+        entries = [(0, (0, 0), F(1, 4)), (0, [0, 0], F(1, 4)), (np.int64(1), (1, np.int32(1)), F(1, 2))]
+        s = FiniteStructure.from_entries(2, (2, 2), entries, exact=True)
+        assert s.pmf.tolist() == [[[F(1, 2), 0], [0, 0]], [[0, 0], [0, F(1, 2)]]]
+        assert FiniteStructure.from_entries(2, (2, 2), entries).pmf[0, 0, 0] == 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_from_entries_matches_the_entry_loop(self, data):
+        # The loop that np.add.at replaced: entries add up cell by cell, in
+        # order, so float sums round as they did.
+        m = data.draw(st.integers(1, 3))
+        sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        exact = data.draw(st.booleans())
+        cells = st.tuples(*(st.integers(0, k - 1) for k in sizes))
+        raw = [(state, data.draw(cells), data.draw(st.integers(1, 5))) for state in range(m)]
+        raw += data.draw(st.lists(st.tuples(st.integers(0, m - 1), cells, st.integers(1, 5)),
+                                  max_size=12))
+        total = sum(w for _, _, w in raw)
+        entries = [(k, sig, F(w, total) if exact else w / total) for k, sig, w in raw]
+        want = np.zeros((m, *sizes), dtype=object if exact else float)
+        for k, sig, p in entries:
+            want[(k, *sig)] += p
+        got = FiniteStructure.from_entries(m, sizes, entries, exact=exact).pmf
+        assert got.tolist() == want.tolist()
+        assert all(type(v) is (F if exact else float) for v in got.ravel().tolist())
+
     def test_immutable(self):
         s = symmetric_binary_signal(F(3, 4))
         with pytest.raises(ValueError):
