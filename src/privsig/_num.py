@@ -2,12 +2,15 @@
 
 Quantities in this package are plain Python numbers: ``float`` for the
 approximate path and :class:`fractions.Fraction` for the exact path, so a
-structure built from Fractions stays exact end to end.  Exact joint tables
-are the one exception inside the library: a ``FiniteStructure`` keeps them
-as integer numerators over one common denominator, ``int64`` while every
-entry and partial sum fits and Python ints beyond that, and shows them as
-Fractions only in its public values (notes/decisions.md, "Exact tables on
-one common denominator").  The helpers below convert to that form.
+structure built from Fractions stays exact end to end.  Inside the library
+the exact path mostly runs on integer numerators over common denominators,
+``int64`` while every entry and partial sum fits and Python ints beyond
+that, and shows them as Fractions only in public values: a
+``FiniteStructure`` keeps its table on one denominator, an exact
+``AtomicDist`` its locations on one and its weights on another, and the
+exact simplex one per tableau row (notes/decisions.md, "Exact tables on one
+common denominator", "Exact beliefs on one common denominator" and "Exact
+simplex on integer rows").  The helpers below convert to that form.
 
 Every float tolerance of the package is defined once, in the table below.
 """

@@ -15,16 +15,54 @@ of weight ``1/R`` (see :func:`uniform_grid`).  Discretization error on the
 order tests is O(1/R).
 
 Numbers may be floats or :class:`fractions.Fraction`; all operations preserve
-exactness when fed Fractions.
+exactness when fed Fractions.  An exact distribution, one whose locations and
+weights are all ints and Fractions, also holds its atoms on integer
+numerators: the locations over one common denominator and the weights over
+another (notes/decisions.md, "Exact beliefs on one common denominator").
+The support gaps, the conjugate, the mean, the order tests and the
+earth-mover distance of exact distributions run on those integers and build
+a Fraction only for a value they return, of the type the Fraction arithmetic
+gives it.  Float and mixed distributions take the float code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
-from ._num import MERGE_TOL, ORDER_TOL, TABLE_TOL, WEIGHT_DROP_TOL, is_exact
+import numpy as np
+
+from ._num import (
+    MERGE_TOL,
+    ORDER_TOL,
+    TABLE_TOL,
+    WEIGHT_DROP_TOL,
+    _common_denominator,
+    _int_dtype,
+    is_exact,
+)
 from .errors import ValidationError
+
+
+class _Ints(NamedTuple):
+    """An exact distribution's atoms on integer numerators.
+
+    Location ``i`` is ``x[i] / X`` and its weight ``w[i] / W``; the
+    locations ascend.  Each array is ``int64`` while its entries and
+    running sums fit (the weights add up to less than 2), else Python ints.
+    ``xf`` and ``wf`` mark the values that are Fractions rather than ints.
+    """
+
+    x: np.ndarray
+    X: int
+    w: np.ndarray
+    W: int
+    xf: np.ndarray
+    wf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -34,8 +72,9 @@ class AtomicDist:
     Parameters
     ----------
     atoms : sequence of (location, weight) pairs
-        Locations must lie in [0, 1]; weights must be positive and sum to 1
-        within ``TABLE_TOL``.  Weights at or below ``WEIGHT_DROP_TOL`` are
+        Locations and weights are numbers, not booleans.  Locations must
+        lie in [0, 1]; weights must be positive and sum to 1 within
+        ``TABLE_TOL``.  Weights at or below ``WEIGHT_DROP_TOL`` are
         dropped and the rest renormalized.  An atom less than ``MERGE_TOL``
         above the first atom of the current cluster joins it, and each
         cluster becomes one atom at its weighted mean location
@@ -49,35 +88,59 @@ class AtomicDist:
         self._set_atoms(atoms, merge=True)
 
     @classmethod
-    def _of_clusters(cls, atoms):
+    def _of_clusters(cls, atoms, checked=True):
         """The distribution of atoms that are already clustered.
 
-        Validates, drops and renormalizes as the constructor does, but
-        merges no atoms: clustering the means of clusters again can merge
-        two of them (notes/decisions.md, "Posterior clustering").
+        Drops and renormalizes as the constructor does, but merges no
+        atoms: clustering the means of clusters again can merge two of them
+        (notes/decisions.md, "Posterior clustering").  With ``checked``
+        false the atoms are exact posteriors, in [0, 1] with positive
+        weights by construction, and are not validated again.
         """
         dist = object.__new__(cls)
-        dist._set_atoms(atoms, merge=False)
+        dist._set_atoms(atoms, merge=False, check=checked)
         return dist
 
-    def _set_atoms(self, atoms, merge):
-        pairs = [(x, w) for x, w in atoms]
+    @classmethod
+    def _of_ints(cls, ints):
+        """The distribution of clean integer atoms: none to drop or merge."""
+        dist = object.__new__(cls)
+        atoms = zip(_numbers(ints.x, ints.X, ints.xf), _numbers(ints.w, ints.W, ints.wf))
+        object.__setattr__(dist, "atoms", tuple(atoms))
+        object.__setattr__(dist, "_ints", ints)
+        return dist
+
+    def _set_atoms(self, atoms, merge, check=True):
+        not_pairs = "field 'atoms': expected (location, weight) pairs of numbers"
+        try:
+            # A caller's own tuples are kept, not copied.
+            pairs = [p if p.__class__ is tuple else tuple(p) for p in atoms]
+        except TypeError:
+            raise ValidationError(not_pairs) from None
         if not pairs:
             raise ValidationError("a distribution needs at least one atom")
-        for x, w in pairs:
-            if not (0 <= x <= 1):
-                raise ValidationError(f"atom location {x} outside [0, 1]")
-            if w < 0:
-                raise ValidationError(f"negative atom weight {w}")
+        if check:
+            try:
+                for x, w in pairs:
+                    if x.__class__ is bool or w.__class__ is bool:
+                        raise ValidationError("field 'atoms': booleans are not numbers")
+                    if not (0 <= x <= 1):
+                        raise ValidationError(f"atom location {x} outside [0, 1]")
+                    if w < 0:
+                        raise ValidationError(f"negative atom weight {w}")
+            except ValidationError:
+                raise
+            except (TypeError, ValueError):
+                raise ValidationError(not_pairs) from None
         drop_tol, merge_tol = WEIGHT_DROP_TOL, MERGE_TOL
         if isinstance(pairs[0][1], Fraction):
             # Comparing a Fraction with a float converts the float each time.
             drop_tol, merge_tol = Fraction(drop_tol), Fraction(merge_tol)
-        kept = [(x, w) for x, w in pairs if w > drop_tol]
+        kept = [p for p in pairs if p[1] > drop_tol]
         if not kept:
             raise ValidationError("all atom weights are (near) zero")
         dropped_mass = len(kept) < len(pairs)
-        kept.sort(key=lambda p: p[0])
+        kept.sort(key=itemgetter(0))
 
         merged = kept
         if merge:
@@ -113,6 +176,21 @@ class AtomicDist:
     def exact(self) -> bool:
         """True when every location and weight is an int or Fraction."""
         return all(is_exact(x) and is_exact(w) for x, w in self.atoms)
+
+    @cached_property
+    def _ints(self):
+        """The atoms on integer numerators (:class:`_Ints`), or None unless
+        the distribution is exact.  Computed on first use."""
+        if not self.exact:
+            return None
+        xs, ws = self.locations, self.weights
+        x, X = _common_denominator(xs)
+        w, W = _common_denominator(ws)
+        return _Ints(
+            x.astype(_int_dtype(X)), X, w.astype(_int_dtype(2 * W)), W,
+            np.array([isinstance(v, Fraction) for v in xs]),
+            np.array([isinstance(v, Fraction) for v in ws]),
+        )
 
     def __repr__(self):
         inner = ", ".join(f"({x}, {w})" for x, w in self.atoms)
@@ -227,9 +305,155 @@ def quantile(dist: AtomicDist, u):
     return dist.atoms[-1][0]
 
 
+# ---------------------------------------------------------------------------
+# Integer numerators of exact distributions
+# ---------------------------------------------------------------------------
+#
+# Each function below mirrors the Fraction arithmetic of the generic code:
+# a value is a Fraction exactly when a Fraction took part in computing it,
+# and an int otherwise, which the boolean flag arrays track.
+
+_DROP_TOL, _MERGE_TOL = Fraction(WEIGHT_DROP_TOL), Fraction(MERGE_TOL)
+
+
+def _number(num, den, frac):
+    """The value ``num / den``: a Fraction if ``frac``, else an int."""
+    return Fraction(int(num), den) if frac else int(num) // den
+
+
+def _numbers(nums, den, fracs):
+    """The values ``nums / den``: Fractions where ``fracs`` is set, else ints."""
+    return [Fraction(n, den) if f else n // den
+            for n, f in zip(nums.tolist(), fracs.tolist())]
+
+
+def _scaled(nums, factor, bound):
+    """``nums * factor``, in ``int64`` when ``bound`` fits, else Python ints."""
+    out = nums.astype(_int_dtype(bound), copy=False)
+    return out if factor == 1 else out * factor
+
+
+def _cumulative(ints, D):
+    """Running weight numerators over ``D``, from 0 before the first atom."""
+    w = _scaled(ints.w, D // ints.W, 2 * D)
+    return np.concatenate((np.zeros(1, w.dtype), np.cumsum(w)))
+
+
+def _gaps(e):
+    """Every support gap ``j = 0..k`` of ``e``, empty ones included:
+    ``(location over W, length over X, location flags, length flags)``.
+
+    Gap ``j``'s atom lies at ``1 - C_j``, pinned to 0 when the weights add
+    up to more than 1, and weighs ``x_{j+1} - x_j``.
+    """
+    ends = np.concatenate((np.zeros(1, e.x.dtype), e.x, np.full(1, e.X, e.x.dtype)))
+    loc = e.W - np.concatenate((np.zeros(1, e.w.dtype), np.cumsum(e.w)))
+    # 0 and 1 take the type of the first weight, as the Fraction code's do.
+    first = e.wf[:1]
+    loc_f = np.logical_or.accumulate(np.concatenate((first, e.wf)))
+    gap_f = np.concatenate((first, e.xf)) | np.concatenate((e.xf, first))
+    low = loc < 0
+    if low.any():
+        loc[low] = 0
+        loc_f[low] = first[0]
+    return loc, np.diff(ends), loc_f, gap_f
+
+
+def _clean_conjugate(e):
+    """The conjugate of ``e`` on integers: the reversed nonempty gaps, with
+    the locations over ``W`` and the weights over ``X``.  None when the
+    constructor would drop or merge atoms of it."""
+    loc, gap, loc_f, gap_f = _gaps(e)
+    keep = np.flatnonzero(gap > 0)[::-1]
+    x, w = loc[keep], gap[keep]
+    # w / X > WEIGHT_DROP_TOL and steps / W >= MERGE_TOL, on the integers.
+    if w.min() <= math.floor(_DROP_TOL * e.X):
+        return None
+    if len(x) > 1 and np.diff(x).min() < math.ceil(_MERGE_TOL * e.W):
+        return None
+    return _Ints(x, e.W, w, e.X, loc_f[keep], gap_f[keep])
+
+
+class _Sweep(NamedTuple):
+    """Merged breakpoints ``y / Y`` of two exact distributions and
+    ``F_a - F_b = d / D`` at each, with their type flags."""
+
+    y: np.ndarray
+    Y: int
+    d: np.ndarray
+    D: int
+    yf: np.ndarray
+    df: np.ndarray
+
+
+def _sweep(ea, eb):
+    """:func:`_cdf_differences` on integers: the locations of both
+    distributions on ``lcm(X_a, X_b)``, the weights on ``lcm(W_a, W_b)``."""
+    Y, D = math.lcm(ea.X, eb.X), math.lcm(ea.W, eb.W)
+    xa, xb = _scaled(ea.x, Y // ea.X, Y), _scaled(eb.x, Y // eb.X, Y)
+    y = np.sort(np.concatenate((xa, xb)))
+    parts = [y[np.concatenate(([True], y[1:] != y[:-1]))]]
+    if y[0] != 0:
+        parts.insert(0, np.zeros(1, y.dtype))
+    if y[-1] != Y:
+        parts.append(np.full(1, Y, y.dtype))
+    y = np.concatenate(parts)
+    ia = np.searchsorted(xa, y, side="right")
+    ib = np.searchsorted(xb, y, side="right")
+    d = _cumulative(ea, D)[ia] - _cumulative(eb, D)[ib]
+    # A breakpoint has its atom's type, a's on a tie; the added 0 and 1
+    # are ints.  An index of -1 reads the largest atom, never equal to y.
+    on_a = xa[ia - 1] == y
+    yf = np.where(on_a, ea.xf[ia - 1], (xb[ib - 1] == y) & eb.xf[ib - 1])
+    fa = np.concatenate(([False], np.logical_or.accumulate(ea.wf)))
+    fb = np.concatenate(([False], np.logical_or.accumulate(eb.wf)))
+    return _Sweep(y, Y, d, D, yf, fa[ia] | fb[ib])
+
+
+def _integral_terms(s):
+    """``(y_{i+1} - y_i) (F_a - F_b)(y_i)`` over ``Y D``; every partial sum
+    stays under ``2 Y D``."""
+    dtype = _int_dtype(2 * s.Y * s.D)
+    return np.diff(s.y.astype(dtype)), s.d[:-1].astype(dtype)
+
+
+def _upper_integrals(s):
+    """int_y^1 (F_a - F_b) at each breakpoint, over ``Y D``."""
+    widths, diffs = _integral_terms(s)
+    vals = np.zeros(len(s.y), widths.dtype)
+    vals[:-1] = np.cumsum((widths * diffs)[::-1])[::-1]
+    return vals
+
+
+def _is_mpc_ints(ea, eb, tol):
+    """:func:`is_mpc` on integers, with the verdicts of the Fraction code."""
+    s = _sweep(ea, eb)
+    vals = _upper_integrals(s)
+    scale = s.Y * s.D
+    return (abs(Fraction(int(vals[0]), scale)) <= tol
+            and Fraction(int(vals.min()), scale) >= -tol)
+
+
+def _w1_ints(ea, eb):
+    """:func:`wasserstein1` on integers."""
+    s = _sweep(ea, eb)
+    widths, diffs = _integral_terms(s)
+    frac = (s.yf[:-1] | s.yf[1:] | s.df[:-1]).any()
+    return _number((widths * np.abs(diffs)).sum(), s.Y * s.D, frac)
+
+
+# ---------------------------------------------------------------------------
+# Conjugate, order tests and distance
+# ---------------------------------------------------------------------------
+
 def mean(dist: AtomicDist):
     """Expectation of the distribution."""
-    return sum(x * w for x, w in dist.atoms)
+    e = dist._ints
+    if e is None:
+        return sum(x * w for x, w in dist.atoms)
+    dtype = _int_dtype(2 * e.X * e.W)
+    total = np.dot(e.x.astype(dtype), e.w.astype(dtype))
+    return _number(total, e.X * e.W, e.xf.any() or e.wf.any())
 
 
 def support_gaps(dist: AtomicDist):
@@ -240,6 +464,12 @@ def support_gaps(dist: AtomicDist):
     the weight of the first ``j`` atoms, and weight ``x_{j+1} - x_j``.
     Returns the list of indices and the parallel list of atoms.
     """
+    e = dist._ints
+    if e is not None:
+        loc, gap, loc_f, gap_f = _gaps(e)
+        keep = np.flatnonzero(gap > 0)
+        locs = _numbers(loc[keep], e.W, loc_f[keep])
+        return keep.tolist(), list(zip(locs, _numbers(gap[keep], e.X, gap_f[keep])))
     zero = dist.weights[0] * 0  # Fraction(0) on the exact path, else 0.0
     one = zero + 1
     xs = list(dist.locations) + [one]
@@ -265,8 +495,13 @@ def conjugate(dist: AtomicDist) -> AtomicDist:
     Computed combinatorially, which is exact for rational inputs: each
     support gap of ``dist`` (see :func:`support_gaps`) becomes an atom and
     each atom becomes a gap.  The conjugate has the same mean, and
-    conjugating twice returns the original distribution.
+    conjugating twice returns the original distribution.  On integer
+    numerators the two denominators swap.
     """
+    e = dist._ints
+    ints = None if e is None else _clean_conjugate(e)
+    if ints is not None:
+        return AtomicDist._of_ints(ints)
     _, atoms = support_gaps(dist)
     atoms.reverse()
     return AtomicDist(atoms)
@@ -282,6 +517,10 @@ def _cdf_differences(a: AtomicDist, b: AtomicDist):
     equal ``cdf_eval(a, y) - cdf_eval(b, y)`` exactly.  Returns
     ``(breakpoints, differences)``.
     """
+    ea, eb = a._ints, b._ints
+    if ea is not None and eb is not None:
+        s = _sweep(ea, eb)
+        return _numbers(s.y, s.Y, s.yf), _numbers(s.d, s.D, s.df)
     xa, xb = a.atoms, b.atoms
     na, nb = len(xa), len(xb)
     i = j = 0
@@ -316,6 +555,12 @@ def _upper_cdf_integrals(a: AtomicDist, b: AtomicDist):
     breakpoints, so the integral is piecewise linear and its extrema over y
     lie on the returned grid.
     """
+    ea, eb = a._ints, b._ints
+    if ea is not None and eb is not None:
+        s = _sweep(ea, eb)
+        terms_f = s.yf[1:] | s.yf[:-1] | s.df[:-1]
+        vals_f = np.append(np.logical_or.accumulate(terms_f[::-1])[::-1], False)
+        return _numbers(s.y, s.Y, s.yf), _numbers(_upper_integrals(s), s.Y * s.D, vals_f)
     ys, diffs = _cdf_differences(a, b)
     vals = [0] * len(ys)
     for i in range(len(ys) - 2, -1, -1):
@@ -334,6 +579,9 @@ def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     is 0, where the integral is ``mean(b) - mean(a)``, so the same sweep
     compares the means.
     """
+    ea, eb = a._ints, b._ints
+    if ea is not None and eb is not None:
+        return _is_mpc_ints(ea, eb, tol)
     _, vals = _upper_cdf_integrals(a, b)
     return abs(vals[0]) <= tol and min(vals) >= -tol
 
@@ -352,11 +600,35 @@ def wasserstein1(a: AtomicDist, b: AtomicDist):
 
     One O(k) sweep over the merged breakpoints of the two distributions.
     """
+    ea, eb = a._ints, b._ints
+    if ea is not None and eb is not None:
+        return _w1_ints(ea, eb)
     ys, diffs = _cdf_differences(a, b)
     total = 0
     for y0, y1, d in zip(ys, ys[1:], diffs):
         total = total + (y1 - y0) * abs(d)
     return total
+
+
+def _conjugate_ints(dist):
+    """The integer atoms of ``conjugate(dist)`` for an exact ``dist``,
+    without its Fractions unless the constructor has to build it."""
+    ints = _clean_conjugate(dist._ints)
+    return conjugate(dist)._ints if ints is None else ints
+
+
+def _is_mpc_of_conjugate(a: AtomicDist, b: AtomicDist, tol) -> bool:
+    """``is_mpc(a, conjugate(b), tol)``."""
+    if a._ints is not None and b._ints is not None:
+        return _is_mpc_ints(a._ints, _conjugate_ints(b), tol)
+    return is_mpc(a, conjugate(b), tol)
+
+
+def _distance_to_conjugate(a: AtomicDist, b: AtomicDist):
+    """``wasserstein1(a, conjugate(b))``."""
+    if a._ints is not None and b._ints is not None:
+        return _w1_ints(a._ints, _conjugate_ints(b))
+    return wasserstein1(a, conjugate(b))
 
 
 def dists_close(a, b, tol=ORDER_TOL) -> bool:

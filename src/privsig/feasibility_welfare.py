@@ -22,16 +22,19 @@ them, contains a maximizer; no numerical search runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._num import _common_denominator, _product_operands
+from ._num import _int_dtype
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
+    _gaps,
+    _is_mpc_of_conjugate,
     conjugate,
-    is_mpc,
     mean,
     support_gaps,
 )
@@ -44,30 +47,31 @@ def is_feasible_pair(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bool:
 
     True iff the means agree within ``tol`` and ``mu2`` is a
     mean-preserving contraction of the conjugate of ``mu1``.  The criterion
-    is symmetric in its arguments.
+    is symmetric in its arguments.  Exact pairs compare on integer
+    numerators and build no Fraction of the conjugate.
     """
     if abs(mean(mu1) - mean(mu2)) > tol:
         return False
-    return is_mpc(mu2, conjugate(mu1), tol)
+    return _is_mpc_of_conjugate(mu2, mu1, tol)
 
 
-def _shadow(free, m, z):
-    """Take the left-curtain shadow of an atom ``(z, m)`` out of ``free``.
+def _shadow(free, m, need):
+    """Find the left-curtain shadow of an atom of mass ``m`` and first
+    moment ``need`` in ``free``.
 
     ``free`` holds the conjugate mass not yet taken, as ``(gap index,
     location, mass)`` entries in ascending location.  The shadow is the
-    leftmost quantile window of mass ``m`` whose barycenter is ``z``; the
-    window slides right from the left end, and between two breakpoints its
-    first moment is linear in the shift, so the stopping point is solved
-    for exactly.  When no window reaches ``z`` (float round-off) the sweep
-    stops at the rightmost one.  Returns the entries taken and the entries
-    left free.
+    leftmost quantile window of mass ``m`` whose first moment is ``need``;
+    the window slides right from the left end, and between two breakpoints
+    its first moment is linear in the shift.  When no window reaches
+    ``need`` (float round-off) the sweep stops at the rightmost one.
+    Returns ``(a, b, left, right, step)``: the window is ``free[a]`` from
+    ``left`` on, through ``free[b]`` up to ``right``, and ``step`` is None
+    or the pair ``(p, s)`` by whose ratio both ends still move right to hit
+    ``need`` exactly.  Floats divide; integers rescale their masses.
     """
-    if not free:
-        return [], free
     zero = m * 0
     last = len(free) - 1
-    # The window is free[a] from ``left`` on, through free[b] up to ``right``.
     b, acc, moment = 0, zero, zero
     while b < last and acc + free[b][2] < m:
         acc += free[b][2]
@@ -76,7 +80,6 @@ def _shadow(free, m, z):
     right = min(m - acc, free[b][2])
     moment += right * free[b][1]
     a, left = 0, zero
-    need = m * z
     while moment < need:
         if right == free[b][2]:
             if b == last:
@@ -88,15 +91,19 @@ def _shadow(free, m, z):
         slope = free[b][1] - free[a][1]
         step = min(to_left, to_right)
         if slope * step >= need - moment:
-            step = (need - moment) / slope
-            left, right, moment = left + step, right + step, need
-            break
+            return a, b, left, right, (need - moment, slope)
         moment += slope * step
         if to_left <= to_right:
             right = free[b][2] if to_left == to_right else right + step
             a, left = a + 1, zero
         else:
             left, right = left + step, free[b][2]
+    return a, b, left, right, None
+
+
+def _cut(free, a, b, left, right):
+    """The window of :func:`_shadow` taken out of ``free``: the entries
+    taken and the entries left free."""
     j_a, y_a, r_a = free[a]
     j_b, y_b, r_b = free[b]
     if a == b:
@@ -107,6 +114,23 @@ def _shadow(free, m, z):
         kept = [(j_a, y_a, left), (j_b, y_b, r_b - right)]
     taken = [t for t in taken if t[2] > 0]
     return taken, free[:a] + [e for e in kept if e[2] > 0] + free[b + 1:]
+
+
+def _column(window, total, k_n, t):
+    """The blocks ``(state, first row, end row, t, share)`` of column ``t``.
+
+    ``window`` is sorted by gap index.  Agent 1's atom a is above gap j iff
+    j <= a, so the state-1 share of the column steps up by each window mass
+    at its gap index.  Summed in gap order, the running shares never pass
+    ``total``.
+    """
+    blocks, share, row = [], total * 0, 0
+    for j, _, mass in window + [(k_n, None, 0)]:
+        if j > row:
+            blocks += [(1, row, j, t, share), (0, row, j, t, total - share)]
+            row = j
+        share += mass
+    return blocks
 
 
 def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
@@ -124,12 +148,12 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     are swept in ascending order, and each takes its left-curtain shadow
     from the conjugate mass still free (Beiglboeck & Juillet 2016).  The
     garbling is independent of the state and of agent 1, so privacy holds
-    exactly.  Exact inputs give an exact table at every size; when either
-    input holds floats, the table holds floats.  On pairs that are
-    feasible only within ``tol``, any first-moment mismatch between the
-    free conjugate mass and the atoms still to place is spread evenly over
-    those atoms, and a pair whose columns still miss ``mu2`` by more than
-    ``tol`` gets None.
+    exactly.  Exact inputs give an exact table at every size, swept on
+    integer numerators; when either input holds floats, the table holds
+    floats.  On pairs that are feasible only within ``tol``, any
+    first-moment mismatch between the free conjugate mass and the atoms
+    still to place is spread evenly over those atoms, and a pair whose
+    columns still miss ``mu2`` by more than ``tol`` gets None.
     """
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         if not 0 < mean(mu) < 1:
@@ -139,26 +163,27 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
             )
     if not is_feasible_pair(mu1, mu2, tol):
         return None
-    exact = mu1.exact and mu2.exact
-    num = (lambda v: v) if exact else float
-    u = np.array([num(w) for w in mu1.weights], dtype=object if exact else float)
+    if mu1._ints is not None and mu2._ints is not None:
+        return _exact_certificate(mu1._ints, mu2._ints, tol)
+    u = np.array([float(w) for w in mu1.weights])
     indices, atoms = support_gaps(mu1)
-    gaps = [(j, num(y), num(v)) for j, (y, v) in zip(indices, atoms)][::-1]
-    targets = [(num(z), num(m)) for z, m in mu2.atoms]
+    free = [(j, float(y), float(v)) for j, (y, v) in zip(indices, atoms)][::-1]
+    targets = [(float(z), float(m)) for z, m in mu2.atoms]
     # First moment the free mass holds beyond what the targets still ask
     # for; it is spread evenly over those targets' windows.
-    excess = sum(v * y for _, y, v in gaps) - sum(m * z for z, m in targets)
+    excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in targets)
     todo = sum(m for _, m in targets)
-
-    k_n, j_n = len(u), len(targets)
-    blocks = []  # (state, first row, end row, column, share of the column)
-    free = gaps
+    blocks = []
     for t, (z, m) in enumerate(targets):
-        if t < j_n - 1:
-            window, free = _shadow(free, m, z + excess / todo)
-        else:
-            window = free
-        # Summed in gap order, the running shares below never pass total.
+        window = free
+        if t < len(targets) - 1:
+            window = []
+            if free:
+                a, b, left, right, step = _shadow(free, m, m * (z + excess / todo))
+                if step:
+                    step = step[0] / step[1]
+                    left, right = left + step, right + step
+                window, free = _cut(free, a, b, left, right)
         window.sort()
         total = sum(mass for _, _, mass in window)
         moment = sum(mass * y for _, y, mass in window)
@@ -166,22 +191,73 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
             return None
         excess -= moment - m * z
         todo -= m
-        # Agent 1's atom a is above gap j iff j <= a, so the state-1 share
-        # of column t steps up by each window mass at its gap index.
-        share, row = total * 0, 0
-        for j, _, mass in window + [(k_n, None, 0)]:
-            if j > row:
-                blocks += [(1, row, j, t, share), (0, row, j, t, total - share)]
-                row = j
-            share += mass
-    values = [v for *_, v in blocks]
-    den = None
-    if exact:
-        # Row weights times column shares, on one common denominator each.
-        u, values, den = _product_operands(*_common_denominator(u), values)
-        values = values.tolist()
-    pmf = np.zeros((2, k_n, j_n), dtype=u.dtype)
-    for (state, row, j, t, _), v in zip(blocks, values):
+        blocks += _column(window, total, len(u), t)
+    pmf = np.zeros((2, len(u), len(targets)))
+    for state, row, j, t, v in blocks:
+        if v:
+            pmf[state, row:j, t] = u[row:j] * v
+    return FiniteStructure._of(pmf, None)
+
+
+def _exact_certificate(e1, e2, tol):
+    """:func:`feasibility_certificate` of an exact pair, on integers.
+
+    Locations are numerators over ``ly``, the common denominator of the
+    gap locations (``W1``) and the target locations (``X2``).  Masses are
+    numerators over ``dm``, at first that of the gap masses (``X1``) and
+    the target masses (``W2``).  A window that stops between two
+    breakpoints moves by a ratio ``p / s``; then ``dm`` and every mass are
+    multiplied by its reduced denominator, so all masses stay integers.
+    The table holds row weights over ``W1`` times column shares over ``dm``.
+    """
+    loc, gap, _, _ = _gaps(e1)
+    keep = np.flatnonzero(gap > 0)[::-1]
+    ly, dm = math.lcm(e1.W, e2.X), math.lcm(e1.X, e2.W)
+    sy, sv = ly // e1.W, dm // e1.X
+    free = [(j, y * sy, v * sv)
+            for j, y, v in zip(keep.tolist(), loc[keep].tolist(), gap[keep].tolist())]
+    zs = [z * (ly // e2.X) for z in e2.x.tolist()]
+    ms = [m * (dm // e2.W) for m in e2.w.tolist()]
+    excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in zip(zs, ms))
+    todo = sum(ms)
+    k_n, blocks = len(e1.w), []
+    for t, z in enumerate(zs):
+        m, window = ms[t], free
+        if t < len(zs) - 1:
+            window = []
+            if free:
+                # need = m (z + excess / todo), a first moment over dm * ly.
+                need = m * z if not excess else Fraction(m * (z * todo + excess), todo)
+                a, b, left, right, step = _shadow(free, m, need)
+                if step:
+                    step = Fraction(step[0]) / step[1]
+                    q = step.denominator
+                    if q > 1:
+                        dm, excess, todo, m = dm * q, excess * q, todo * q, m * q
+                        ms = [v * q for v in ms]
+                        free = [(j, y, v * q) for j, y, v in free]
+                        blocks = [(*block, v * q) for *block, v in blocks]
+                    left = left * q + step.numerator
+                    right = right * q + step.numerator
+                window, free = _cut(free, a, b, left, right)
+        window.sort()
+        total = sum(mass for _, _, mass in window)
+        moment = sum(mass * y for _, y, mass in window)
+        # The pair passed is_feasible_pair, so tol >= 0 and a column that
+        # hits its atom exactly passes without a Fraction.
+        miss, off = total - m, moment - total * z
+        if (miss or off) and (abs(Fraction(miss, dm)) > tol
+                              or abs(Fraction(off, dm * ly)) > tol * Fraction(total, dm)):
+            return None
+        excess -= moment - m * z
+        todo -= m
+        blocks += _column(window, total, k_n, t)
+    den = e1.W * dm
+    # Every cell is a row weight times a share of its column: under 2 den.
+    dtype = _int_dtype(2 * den)
+    u = e1.w.astype(dtype)
+    pmf = np.zeros((2, k_n, len(zs)), dtype=dtype)
+    for state, row, j, t, v in blocks:
         if v:
             pmf[state, row:j, t] = u[row:j] * v
     return FiniteStructure._of(pmf, den)

@@ -60,10 +60,11 @@ def _integer_row(values, field):
     """Exact ``values`` as ``(numerators, D)`` over their least common denominator.
 
     Ints and Fractions are read as they are; anything else goes through
-    :func:`as_fraction`.
+    :func:`as_fraction`, which refuses booleans.
     """
     try:
-        fracs = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
+        fracs = [v if isinstance(v, (int, Fraction)) and v.__class__ is not bool
+                 else as_fraction(v) for v in values]
     except ValidationError as exc:
         raise ValidationError(f"field '{field}': {exc}") from None
     den = math.lcm(*(f.denominator for f in fracs))

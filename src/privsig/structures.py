@@ -62,18 +62,20 @@ class SimplexDist:
         self._set_atoms(atoms, merge=True)
 
     @classmethod
-    def _of_clusters(cls, atoms):
+    def _of_clusters(cls, atoms, checked=True):
         """The distribution of posterior vectors that are already clustered.
 
-        Validates, drops and renormalizes as the constructor does, but
-        merges no atoms: clustering the means of clusters again can merge
-        two of them (notes/decisions.md, "Posterior clustering").
+        Drops and renormalizes as the constructor does, but merges no
+        atoms: clustering the means of clusters again can merge two of them
+        (notes/decisions.md, "Posterior clustering").  With ``checked``
+        false the atoms are exact posteriors, on the simplex with positive
+        weights by construction, and are not validated again.
         """
         dist = object.__new__(cls)
-        dist._set_atoms(atoms, merge=False)
+        dist._set_atoms(atoms, merge=False, check=checked)
         return dist
 
-    def _set_atoms(self, atoms, merge):
+    def _set_atoms(self, atoms, merge, check=True):
         pairs = [(tuple(v), w) for v, w in atoms]
         if not pairs:
             raise ValidationError("a simplex distribution needs at least one atom")
@@ -83,15 +85,16 @@ class SimplexDist:
             # Comparing a Fraction with a float converts the float each time.
             tols = tuple(map(Fraction, tols))
         table_tol, probability_tol, drop_tol = tols
-        for vec, w in pairs:
-            if len(vec) != m:
-                raise ValidationError("posterior vectors have mixed lengths")
-            if any(c < -table_tol for c in vec):
-                raise ValidationError(f"posterior {vec} has a negative entry")
-            if abs(sum(vec) - 1) > probability_tol:
-                raise ValidationError(f"posterior {vec} is off the simplex")
-            if w < 0:
-                raise ValidationError(f"negative weight {w}")
+        if check:
+            for vec, w in pairs:
+                if len(vec) != m:
+                    raise ValidationError("posterior vectors have mixed lengths")
+                if any(c < -table_tol for c in vec):
+                    raise ValidationError(f"posterior {vec} has a negative entry")
+                if abs(sum(vec) - 1) > probability_tol:
+                    raise ValidationError(f"posterior {vec} is off the simplex")
+                if w < 0:
+                    raise ValidationError(f"negative weight {w}")
         pairs = [(v, w) for v, w in pairs if w > drop_tol]
         if merge:
             merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
@@ -381,11 +384,16 @@ def _agent_joint(s: FiniteStructure, agent: int):
     return s._num.sum(axis=axes) if axes else s._num
 
 
-def _belief_dist(atoms):
-    """The belief distribution of the kernel's atoms, not clustered again."""
+def _belief_dist(atoms, exact=False):
+    """The belief distribution of the kernel's atoms, not clustered again.
+
+    ``exact`` atoms are the posteriors :func:`_posteriors` built from
+    integer numerators, exact and valid by construction, so they are not
+    validated again.
+    """
     if len(atoms[0][0]) == 2:
-        return AtomicDist._of_clusters([(vec[1], w) for vec, w in atoms])
-    return SimplexDist._of_clusters(atoms)
+        return AtomicDist._of_clusters([(vec[1], w) for vec, w in atoms], not exact)
+    return SimplexDist._of_clusters(atoms, not exact)
 
 
 def posterior_dist(s: FiniteStructure, agent: int):
@@ -397,12 +405,12 @@ def posterior_dist(s: FiniteStructure, agent: int):
     :class:`~privsig.beliefs.AtomicDist` over P(state = 1 | signal) when the
     state is binary, and a :class:`SimplexDist` otherwise.
     """
-    return _belief_dist(_posteriors(_agent_joint(s, agent), s._den)[0])
+    return _belief_dist(_posteriors(_agent_joint(s, agent), s._den)[0], s.exact)
 
 
 def joint_posterior_dist(s: FiniteStructure):
     """Posterior distribution when the whole signal profile is observed."""
-    return _belief_dist(_posteriors(s._num.reshape(s.m, -1), s._den)[0])
+    return _belief_dist(_posteriors(s._num.reshape(s.m, -1), s._den)[0], s.exact)
 
 
 def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from ._num import LP_TOL, as_fraction
-from .beliefs import AtomicDist, ORDER_TOL, conjugate, mean, wasserstein1
+from .beliefs import AtomicDist, ORDER_TOL, _distance_to_conjugate, mean
 from .errors import ResourceBudgetError, ValidationError
 from .structures import FuzzyGrid, GridPartition, GridSet
 
@@ -50,7 +50,7 @@ def is_pareto_optimal_2x2(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bo
     """
     if abs(mean(mu1) - mean(mu2)) > tol:
         raise ValidationError("not a feasible pair: the means differ")
-    return wasserstein1(mu2, conjugate(mu1)) <= tol
+    return _distance_to_conjugate(mu2, mu1) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Belief distributions: CDF, quantile, conjugate, and order tests."""
 
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import privsig.beliefs
 from privsig import (
     AtomicDist,
+    FiniteStructure,
     ValidationError,
     blackwell_dominates,
     cdf_eval,
     conjugate,
     dists_close,
+    feasibility_certificate,
     is_feasible_pair,
     is_mpc,
     is_pareto_optimal_2x2,
@@ -23,7 +27,9 @@ from privsig import (
     uniform_grid,
     wasserstein1,
 )
-from privsig.beliefs import _upper_cdf_integrals
+from privsig._num import POSTERIOR_MERGE_TOL
+from privsig.beliefs import _cdf_differences, _upper_cdf_integrals, support_gaps
+from privsig.structures import posterior_dist
 from conftest import random_atomic, random_garble_dist
 
 QUARTERS = AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
@@ -65,6 +71,30 @@ class TestConstruction:
             AtomicDist([(0.5, 0.7)])
         with pytest.raises(ValidationError):
             AtomicDist([])
+
+    @pytest.mark.parametrize("atoms", [
+        [(True, 1)],
+        [(0.5, True)],
+        [(F(1, 2), F(1, 2)), (False, F(1, 2))],
+    ])
+    def test_rejects_booleans(self, atoms):
+        with pytest.raises(ValidationError, match="'atoms'"):
+            AtomicDist(atoms)
+
+    @pytest.mark.parametrize("atoms", [
+        [("0.5", 1.0)],
+        [(0.5, "1")],
+        [(None, 1.0)],
+        [(0.5, None)],
+    ])
+    def test_rejects_strings_and_none(self, atoms):
+        with pytest.raises(ValidationError, match="'atoms'"):
+            AtomicDist(atoms)
+
+    @pytest.mark.parametrize("atoms", [[(0.5,)], [(0.5, 0.5), (0.5, 0.25, 0.25)], [0.5], None])
+    def test_rejects_atoms_that_are_not_pairs(self, atoms):
+        with pytest.raises(ValidationError, match="'atoms'"):
+            AtomicDist(atoms)
 
     def test_exact_flag(self):
         assert QUARTERS.exact
@@ -384,3 +414,341 @@ class TestSweep:
         # Every upper integral of F_below - F_conj is >= 0; only the means
         # tell this pair apart.
         assert not is_mpc(below, conj)
+
+
+# ---------------------------------------------------------------------------
+# Exact distributions on integer numerators against the Fraction code
+# ---------------------------------------------------------------------------
+#
+# The oracles below are the Fraction formulations the integer code
+# replaced, kept as they were.  Every comparison is typed, so an int where
+# the Fraction code gives a Fraction (or the reverse) fails.
+
+
+def oracle_support_gaps(dist):
+    zero = dist.weights[0] * 0
+    one = zero + 1
+    xs = list(dist.locations) + [one]
+    cums = [zero]
+    for w in dist.weights:
+        cums.append(cums[-1] + w)
+    prev = zero
+    indices, atoms = [], []
+    for j, x_next in enumerate(xs):
+        gap = x_next - prev
+        if gap > 0:
+            indices.append(j)
+            atoms.append((min(max(one - cums[j], zero), one), gap))
+        prev = x_next
+    return indices, atoms
+
+
+def oracle_conjugate(dist):
+    _, atoms = oracle_support_gaps(dist)
+    atoms.reverse()
+    return AtomicDist(atoms)
+
+
+def oracle_mean(dist):
+    return sum(x * w for x, w in dist.atoms)
+
+
+def oracle_cdf_differences(a, b):
+    xa, xb = a.atoms, b.atoms
+    na, nb = len(xa), len(xb)
+    i = j = 0
+    fa = fb = 0
+    ys, diffs = [], []
+    if xa[0][0] != 0 and xb[0][0] != 0:
+        ys.append(0)
+        diffs.append(0)
+    while i < na or j < nb:
+        if j == nb or (i < na and xa[i][0] <= xb[j][0]):
+            y = xa[i][0]
+        else:
+            y = xb[j][0]
+        while i < na and xa[i][0] <= y:
+            fa = fa + xa[i][1]
+            i += 1
+        while j < nb and xb[j][0] <= y:
+            fb = fb + xb[j][1]
+            j += 1
+        ys.append(y)
+        diffs.append(fa - fb)
+    if ys[-1] != 1:
+        ys.append(1)
+        diffs.append(fa - fb)
+    return ys, diffs
+
+
+def oracle_sweep_integrals(a, b):
+    ys, diffs = oracle_cdf_differences(a, b)
+    vals = [0] * len(ys)
+    for i in range(len(ys) - 2, -1, -1):
+        vals[i] = vals[i + 1] + (ys[i + 1] - ys[i]) * diffs[i]
+    return ys, vals
+
+
+def oracle_sweep_wasserstein1(a, b):
+    ys, diffs = oracle_cdf_differences(a, b)
+    total = 0
+    for y0, y1, d in zip(ys, ys[1:], diffs):
+        total = total + (y1 - y0) * abs(d)
+    return total
+
+
+def oracle_is_mpc(a, b, tol):
+    _, vals = oracle_sweep_integrals(a, b)
+    return abs(vals[0]) <= tol and min(vals) >= -tol
+
+
+def oracle_shadow(free, m, z):
+    if not free:
+        return [], free
+    zero = m * 0
+    last = len(free) - 1
+    b, acc, moment = 0, zero, zero
+    while b < last and acc + free[b][2] < m:
+        acc += free[b][2]
+        moment += free[b][2] * free[b][1]
+        b += 1
+    right = min(m - acc, free[b][2])
+    moment += right * free[b][1]
+    a, left = 0, zero
+    need = m * z
+    while moment < need:
+        if right == free[b][2]:
+            if b == last:
+                break
+            b, right = b + 1, zero
+            continue
+        to_left = free[a][2] - left
+        to_right = free[b][2] - right
+        slope = free[b][1] - free[a][1]
+        step = min(to_left, to_right)
+        if slope * step >= need - moment:
+            step = (need - moment) / slope
+            left, right, moment = left + step, right + step, need
+            break
+        moment += slope * step
+        if to_left <= to_right:
+            right = free[b][2] if to_left == to_right else right + step
+            a, left = a + 1, zero
+        else:
+            left, right = left + step, free[b][2]
+    j_a, y_a, r_a = free[a]
+    j_b, y_b, r_b = free[b]
+    if a == b:
+        taken = [(j_a, y_a, right - left)]
+        kept = [(j_a, y_a, r_a - (right - left))]
+    else:
+        taken = [(j_a, y_a, r_a - left), *free[a + 1:b], (j_b, y_b, right)]
+        kept = [(j_a, y_a, left), (j_b, y_b, r_b - right)]
+    taken = [t for t in taken if t[2] > 0]
+    return taken, free[:a] + [e for e in kept if e[2] > 0] + free[b + 1:]
+
+
+def oracle_certificate(mu1, mu2, tol):
+    """The Fraction certificate of an exact pair the oracles call feasible."""
+    if abs(oracle_mean(mu1) - oracle_mean(mu2)) > tol:
+        return None
+    if not oracle_is_mpc(mu2, oracle_conjugate(mu1), tol):
+        return None
+    u = mu1.weights
+    indices, atoms = oracle_support_gaps(mu1)
+    free = [(j, y, v) for j, (y, v) in zip(indices, atoms)][::-1]
+    targets = list(mu2.atoms)
+    excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in targets)
+    todo = sum(m for _, m in targets)
+    pmf = np.full((2, len(u), len(targets)), F(0), dtype=object)
+    for t, (z, m) in enumerate(targets):
+        if t < len(targets) - 1:
+            window, free = oracle_shadow(free, m, z + excess / todo)
+        else:
+            window = free
+        window.sort()
+        total = sum(mass for _, _, mass in window)
+        moment = sum(mass * y for _, y, mass in window)
+        if abs(total - m) > tol or abs(moment - total * z) > tol * total:
+            return None
+        excess -= moment - m * z
+        todo -= m
+        share, row = total * 0, 0
+        for j, _, mass in window + [(len(u), None, 0)]:
+            for a in range(row, j):
+                pmf[1, a, t] = u[a] * share
+                pmf[0, a, t] = u[a] * (total - share)
+            row = max(row, j)
+            share += mass
+    return FiniteStructure(pmf)
+
+
+#: Denominators small enough for int64 throughout, large enough that the
+#: products of two of them need Python ints, and beyond 2**63 themselves.
+DENOMINATORS = (1, 2, 10, 1000, 2**31 - 1, 2**40 + 15, 2**61 - 1, 2**64 + 13, 3**45)
+
+
+@st.composite
+def exact_dists(draw, max_atoms=6, tidy=False):
+    """Exact distributions over the denominators above.  Locations 0 and 1
+    and point-mass weights are plain ints half of the time, and weights can
+    be so uneven that the conjugate drops or merges atoms.  Some weights add
+    up to a hair above 1, within ``TABLE_TOL``, once with an int weight 1
+    first.  A ``tidy`` distribution has weights that add up to 1, and its
+    atoms and those of its conjugate lie at least 1/100 apart."""
+    den = draw(st.sampled_from(DENOMINATORS))
+    k = draw(st.integers(1, min(max_atoms, den + 1)))
+    grid = den if not tidy or den < 64 else 64
+    # The tidy grid's inner points keep the large denominator.
+    nums = sorted(n * (den // grid) if n < grid else den for n in draw(
+        st.sets(st.integers(0, grid), min_size=k, max_size=k)))
+    ints = draw(st.booleans())
+    locs = [n // den if ints and n in (0, den) else F(n, den) for n in nums]
+    if k == 1:
+        return AtomicDist([(locs[0], 1 if draw(st.booleans()) else F(1))])
+    sizes = st.integers(1, 9) if tidy else st.one_of(st.integers(1, 9), st.integers(1, 2**70))
+    raw = draw(st.lists(sizes, min_size=k, max_size=k))
+    weights = [F(r, sum(raw)) for r in raw]
+    over = "none" if tidy else draw(st.sampled_from(["none", "last", "int_first"]))
+    if over == "last":
+        weights[-1] += F(1, 10**13)
+    elif over == "int_first":
+        weights = [1] + [F(1, 10**13)] * (k - 1)
+    return AtomicDist(list(zip(locs, weights)))
+
+
+def typed_atoms(dist):
+    return typed([v for atom in dist.atoms for v in atom])
+
+
+class TestExactOnIntegers:
+    """The integer code gives the Fraction code's values, types included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_dists())
+    def test_gaps_conjugate_and_mean(self, d):
+        indices, atoms = support_gaps(d)
+        want_indices, want_atoms = oracle_support_gaps(d)
+        assert indices == want_indices
+        assert typed([v for atom in atoms for v in atom]) == typed(
+            [v for atom in want_atoms for v in atom])
+        assert typed_atoms(conjugate(d)) == typed_atoms(oracle_conjugate(d))
+        assert typed([mean(d)]) == typed([oracle_mean(d)])
+        assert typed([mean(conjugate(d))]) == typed([oracle_mean(oracle_conjugate(d))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_dists(), exact_dists())
+    def test_sweeps(self, a, b):
+        for x, y in ((a, b), (b, a), (a, conjugate(b)), (a, a)):
+            ys, diffs = _cdf_differences(x, y)
+            want_ys, want_diffs = oracle_cdf_differences(x, y)
+            assert typed(ys) == typed(want_ys)
+            assert typed(diffs) == typed(want_diffs)
+            ys, vals = _upper_cdf_integrals(x, y)
+            want_ys, want_vals = oracle_sweep_integrals(x, y)
+            assert typed(ys) == typed(want_ys)
+            assert typed(vals) == typed(want_vals)
+            assert typed([wasserstein1(x, y)]) == typed([oracle_sweep_wasserstein1(x, y)])
+            for tol in (0, 1e-9, F(1, 7)):
+                assert is_mpc(x, y, tol) == oracle_is_mpc(x, y, tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_dists(), exact_dists())
+    def test_pair_verdicts(self, a, b):
+        mean_gap = abs(oracle_mean(a) - oracle_mean(b))
+        for tol in (0, 1e-9, F(1, 3)):
+            want = mean_gap <= tol and oracle_is_mpc(b, oracle_conjugate(a), tol)
+            assert is_feasible_pair(a, b, tol) == want
+            if mean_gap <= tol:
+                w1 = oracle_sweep_wasserstein1(b, oracle_conjugate(a))
+                assert is_pareto_optimal_2x2(a, b, tol) == (w1 <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_dists(max_atoms=5))
+    def test_involution_and_self_pair(self, d):
+        c = conjugate(d)
+        assert conjugate(c).atoms == oracle_conjugate(oracle_conjugate(d)).atoms
+        assert is_pareto_optimal_2x2(d, c) and is_feasible_pair(d, c)
+        assert wasserstein1(c, oracle_conjugate(d)) == 0
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 2**-10])
+    @pytest.mark.parametrize("den", [1000, 2**61 - 1, 2**64 + 13])
+    def test_verdicts_at_tol_and_one_ulp_beyond(self, tol, den):
+        mu1 = AtomicDist([(F(1, 8), F(1, 4)), (F(den // 3, den), F(1, 2)), (F(7, 8), F(1, 4))])
+        conj = conjugate(mu1)
+        for delta, want in ((F(tol), True), (F(math.nextafter(tol, 1.0)), False)):
+            center = point_mass(mean(mu1))
+            shifted = point_mass(mean(mu1) + delta)
+            assert is_mpc(center, shifted, tol) is want
+            assert oracle_is_mpc(center, shifted, tol) is want
+            assert is_feasible_pair(mu1, shifted, tol) is want
+            # Every atom below 1 moves right by delta: W1 is their weight times delta.
+            moved = AtomicDist([(x + delta if x < 1 else x, w) for x, w in conj.atoms])
+            w1 = sum(w for x, w in conj.atoms if x < 1) * delta
+            assert wasserstein1(moved, conj) == w1
+            if abs(mean(moved) - mean(mu1)) <= tol:
+                assert is_pareto_optimal_2x2(mu1, moved, tol) == (w1 <= tol)
+
+
+def reproducible(dist):
+    """True when a table can have ``dist`` as an exact posterior
+    distribution: the weights add up to 1 and no two atoms are close
+    enough for posterior clustering."""
+    xs = dist.locations
+    return sum(dist.weights) == 1 and all(
+        b - a > POSTERIOR_MERGE_TOL for a, b in zip(xs, xs[1:]))
+
+
+@st.composite
+def exact_contractions(draw):
+    """(mu1, mu2) with mu2 an exact contraction of conjugate(mu1): adjacent
+    conjugate atoms merged into their barycenters, and sometimes one atom
+    moved by a hair, so the pair is feasible only within tolerance."""
+    mu1 = draw(exact_dists(max_atoms=6))
+    atoms = list(conjugate(mu1).atoms)
+    out, i = [], 0
+    while i < len(atoms):
+        if i + 1 < len(atoms) and draw(st.booleans()):
+            (x1, w1), (x2, w2) = atoms[i], atoms[i + 1]
+            out.append(((x1 * w1 + x2 * w2) / (w1 + w2), w1 + w2))
+            i += 2
+        else:
+            out.append(atoms[i])
+            i += 1
+    nudge = draw(st.sampled_from([0, 0, F(1, 10**13), F(-1, 10**11), F(1, 10**8)]))
+    t = draw(st.integers(0, len(out) - 1))
+    x, w = out[t]
+    if 0 <= x + nudge <= 1:
+        out[t] = (x + nudge, w)
+    return mu1, AtomicDist(out)
+
+
+class TestExactCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_contractions())
+    def test_matches_fraction_sweep(self, pair):
+        mu1, mu2 = pair
+        assume(0 < oracle_mean(mu1) < 1 and 0 < oracle_mean(mu2) < 1)
+        got = feasibility_certificate(mu1, mu2)
+        want = oracle_certificate(mu1, mu2, 1e-9)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert typed(got.pmf.ravel().tolist()) == typed(want.pmf.ravel().tolist())
+        assert got.pmf.shape == want.pmf.shape
+        if oracle_mean(mu1) == oracle_mean(mu2) and reproducible(mu1) and reproducible(mu2):
+            # An exactly feasible pair is reproduced exactly.
+            assert posterior_dist(got, 0).atoms == mu1.atoms
+            assert posterior_dist(got, 1).atoms == mu2.atoms
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_dists(max_atoms=8, tidy=True))
+    def test_conjugate_pair_reproduced(self, mu1):
+        assume(0 < oracle_mean(mu1) < 1)
+        mu2 = conjugate(mu1)
+        assert reproducible(mu1) and reproducible(mu2)
+        cert = feasibility_certificate(mu1, mu2)
+        assert typed(cert.pmf.ravel().tolist()) == typed(
+            oracle_certificate(mu1, mu2, 1e-9).pmf.ravel().tolist())
+        assert posterior_dist(cert, 0).atoms == mu1.atoms
+        assert posterior_dist(cert, 1).atoms == mu2.atoms

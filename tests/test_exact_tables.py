@@ -272,6 +272,22 @@ def test_exact_ops_equal_the_object_array_oracle(pmf, data):
     assert same(bound_reports(s), oracle_reports(s))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_trusted_posteriors_still_drop_and_renormalize(m):
+    # Exact posteriors skip validation, not the drop of weights at or below
+    # WEIGHT_DROP_TOL and the renormalization that follows it.
+    tiny = F(1, 10**17)
+    pmf = np.full((m, m + 1), F(0), dtype=object)
+    for k in range(m):
+        pmf[k, k] = F(1, m)
+    pmf[0, 0] -= tiny
+    pmf[0, m] = pmf[m - 1, m] = tiny / 2  # a signal value of weight tiny
+    s = FiniteStructure(pmf)
+    got, want = posterior_dist(s, 0), oracle_posterior_dist(s, 0)
+    assert same(got, want) and len(got.atoms) == m
+    assert sum(w for _, w in got.atoms) == 1
+
+
 def test_large_denominators_use_python_ints():
     # 2**89 - 1 is prime: every nonzero cell has it as its denominator.
     pmf = to_fractions(np.array([[[1, 2], [0, 3]], [[4, 0], [5, 6]]], dtype=object), 2**89 - 1)

@@ -277,6 +277,15 @@ def test_non_finite_rhs_names_the_constraints(bad):
         solve_lp([1, 1], [([1, 1], EQ, bad)])
 
 
+def test_booleans_are_not_coefficients():
+    with pytest.raises(ValidationError, match="'objective'"):
+        solve_lp([True, 1], [([1, 1], LEQ, 1)])
+    with pytest.raises(ValidationError, match="'constraints'"):
+        solve_lp([1, 1], [([1, True], LEQ, 1)])
+    with pytest.raises(ValidationError, match="'constraints'"):
+        solve_lp([1, 1], [([1, 1], LEQ, False)])
+
+
 # ---------------------------------------------------------------------------
 # Integer rows against the Fraction tableau
 # ---------------------------------------------------------------------------
