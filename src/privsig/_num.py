@@ -51,6 +51,20 @@ SLACK_TOL = -1e-9
 LP_TOL = 1e-7
 
 
+def _tol(tol):
+    """``tol`` itself when it is a finite non-negative number.
+
+    Every public test that takes a tolerance calls this once; NaN, an
+    infinity, a negative value, a boolean or a non-number would otherwise
+    give wrong verdicts silently or fail deep inside a comparison.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction, np.integer, np.floating)):
+        raise ValidationError(f"field 'tol': expected a number, got {type(tol).__name__}")
+    if (isinstance(tol, (float, np.floating)) and not math.isfinite(tol)) or tol < 0:
+        raise ValidationError(f"field 'tol': expected a finite non-negative number, got {tol}")
+    return tol
+
+
 def _int_dtype(bound):
     """``int64`` when integers of magnitude up to ``bound`` fit, else Python ints."""
     return np.int64 if bound < 2**63 else object

@@ -43,6 +43,7 @@ from ._num import (
     WEIGHT_DROP_TOL,
     _common_denominator,
     _int_dtype,
+    _tol,
     is_exact,
 )
 from .errors import ValidationError
@@ -579,6 +580,7 @@ def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     is 0, where the integral is ``mean(b) - mean(a)``, so the same sweep
     compares the means.
     """
+    tol = _tol(tol)
     ea, eb = a._ints, b._ints
     if ea is not None and eb is not None:
         return _is_mpc_ints(ea, eb, tol)
@@ -592,7 +594,7 @@ def blackwell_dominates(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     Equivalent to ``b`` being a mean-preserving contraction of ``a``: every
     expected-utility maximizer weakly prefers the more dispersed beliefs.
     """
-    return is_mpc(b, a, tol)
+    return is_mpc(b, a, _tol(tol))
 
 
 def wasserstein1(a: AtomicDist, b: AtomicDist):
@@ -641,6 +643,7 @@ def dists_close(a, b, tol=ORDER_TOL) -> bool:
     chain of atoms; the per-cluster weights must then agree within ``tol``.
     Robust to atom splits caused by round-off.
     """
+    tol = _tol(tol)
     groups = {}  # location or posterior vector -> [weight in a, weight in b]
     for side, dist in enumerate((a, b)):
         for x, w in dist.atoms:

@@ -3,7 +3,7 @@
 Subcommands: conjugate, pareto-check, uniqueness, disclose, feasible,
 welfare, bounds, designer, rasterize.  Inputs come from ``--in FILE`` (or
 stdin); output goes to stdout.  Exit codes: 0 success, 2 validation error,
-3 resource-budget error.
+3 resource-budget error or memory exhausted.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _cmd_disclose(args):
     s = serialize.structure_from_json(_read_json(args.infile))
     result = finite_disclosure(s)
     csv_text = None
-    if args.samples > 0:
+    if args.samples:  # 0, the default, draws none; a negative count is refused
         s1, s2star = simulate_disclosure(s, args.samples, args.seed)
         csv_text = serialize.samples_to_csv(s1, s2star)
     if args.format == "csv":
@@ -277,6 +277,9 @@ def run(argv) -> int:
         return 2
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

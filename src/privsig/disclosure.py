@@ -111,31 +111,97 @@ def revelation_probability(s: FiniteStructure):
     return sum(w for x, w in mu_hat.atoms if x == 0 or x == 1)
 
 
+#: Guide-table buckets per case: a case boundary makes at most one bucket
+#: crowded, so at most about 1/32 of the draws need a binary search.
+_BUCKETS_PER_CASE = 32
+
+
+def _cases(cdf, u):
+    """``cdf.searchsorted(u, side="right")``, by a guide table.
+
+    ``cdf`` is nondecreasing with last entry 1.0 and ``u`` holds draws in
+    [0, 1).  Bucket b of the table is [b/k, (b+1)/k) with k a power of two,
+    so ``cdf * k`` and ``u * k`` are exact and the bucket of a draw is
+    ``floor(u * k)``.  lo[b], the number of cdf values <= b/k, counts those
+    with ``ceil(cdf * k) <= b``.  A draw in bucket b has lo[b] cdf values at
+    or below it unless a cdf value lies in (b/k, (b+1)/k]; only draws in
+    such crowded buckets need the binary search.  k grows with the number
+    of cases up to the number of draws (notes/decisions.md, "Disclosure
+    sampling by a guide table").
+    """
+    k = 1 << min((_BUCKETS_PER_CASE * len(cdf) - 1).bit_length(), len(u).bit_length() - 1)
+    lo = np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1).cumsum()
+    crowded = lo[1:] > lo[:-1]
+    bucket = np.multiply(u, k, out=np.empty(len(u), dtype=np.intp), casting="unsafe")
+    cases = lo[bucket]
+    amb = np.flatnonzero(crowded[bucket])
+    cases[amb] = cdf.searchsorted(u[amb], side="right")
+    return cases
+
+
+def _generator(seed):
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0:
+        return np.random.default_rng(seed)
+    raise ValidationError(
+        f"field 'seed': expected a non-negative int or a numpy.random.Generator, got {seed!r}"
+    )
+
+
 def simulate_disclosure(s: FiniteStructure, n_samples: int, seed=0):
     """Vectorized draws of (s1 value, disclosure value) pairs.
 
     Samples ``(state, s1)`` from the table, then applies
     :func:`sample_disclosure` with one uniform draw per sample.  Returns a
-    pair of numpy arrays ``(s1_values, disclosure_values)``.
+    pair of numpy arrays ``(s1_values, disclosure_values)``, ``int64`` and
+    ``float64``.  ``seed`` is a non-negative int or a
+    ``numpy.random.Generator``, which the draws advance.
+
+    Seeded draws are unchanged from sampling the cases with
+    ``Generator.choice(2A, size=n_samples, p=...)`` over the flattened
+    table and the disclosure with a second ``Generator.random``: for a given
+    seed the arrays are equal bit for bit, and the generator is left in the
+    same state.  The cases come from a guide table over the same cdf that
+    ``choice`` searches (notes/decisions.md, "Disclosure sampling by a guide
+    table").
     """
     if s.m != 2 or s.n != 1:
         raise ValidationError("disclosure sampling needs m = 2 states and one agent")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValidationError(
+            f"field 'samples': expected an int, got {type(n_samples).__name__}"
+        )
     if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    joint = np.asarray(
-        [[float(v) for v in row] for row in s.pmf.tolist()]
-    )  # (2, A)
+        raise ValidationError(f"field 'samples': need at least one sample, got {n_samples}")
+    rng = _generator(seed)
+    joint = np.asarray(s.pmf, dtype=float)  # (2, A)
     n_vals = joint.shape[1]
     flat = joint.ravel()
     flat = flat / flat.sum()
-    cases = rng.choice(2 * n_vals, size=n_samples, p=flat)
-    omega = cases // n_vals
-    s1 = cases % n_vals
-    probs = joint.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        posterior = np.where(probs > 0, joint[1] / np.where(probs > 0, probs, 1), 0.0)
-    p1 = posterior[s1]
+    # The cdf that Generator.choice searches, computed as it does.
+    cdf = flat.cumsum()
+    cdf /= cdf[-1]
+    # Case c = state * A + s1 has s1 = label[c] and the disclosure
+    # offset[c] + u * scale[c]: u * (1 - p) in state 0 and (1 - p) + u * p
+    # in state 1, rounded as sample_disclosure rounds them.
+    probs = joint[0] + joint[1]
+    posterior = np.divide(joint[1], probs, out=np.zeros(n_vals), where=probs > 0)
+    label = np.arange(2 * n_vals) % n_vals
+    table = np.concatenate((np.zeros(n_vals), 1 - posterior, posterior))
+    offset, scale = table[:2 * n_vals], table[n_vals:]
+
     u = rng.random(n_samples)
-    s2star = np.where(omega == 1, (1 - p1) + u * p1, u * (1 - p1))
-    return s1, s2star
+    cases = _cases(cdf, u)
+    rng.random(n_samples, out=u)
+    s1 = np.empty(n_samples, dtype=np.int64)
+    # s1's buffer is float scratch until the labels go in.  Mode "clip"
+    # never applies, as every case is an index of the tables; unlike the
+    # default it lets take write to ``out`` without a copy.
+    scratch = s1.view(np.float64)
+    scale.take(cases, out=scratch, mode="clip")
+    u *= scratch
+    offset.take(cases, out=scratch, mode="clip")
+    u += scratch
+    label.take(cases, out=s1, mode="clip")
+    return s1, u

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._num import _int_dtype
+from ._num import _int_dtype, _tol
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
@@ -50,6 +50,7 @@ def is_feasible_pair(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bool:
     is symmetric in its arguments.  Exact pairs compare on integer
     numerators and build no Fraction of the conjugate.
     """
+    tol = _tol(tol)
     if abs(mean(mu1) - mean(mu2)) > tol:
         return False
     return _is_mpc_of_conjugate(mu2, mu1, tol)
@@ -155,6 +156,7 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     still to place is spread evenly over those atoms, and a pair whose
     columns still miss ``mu2`` by more than ``tol`` gets None.
     """
+    tol = _tol(tol)
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
         if not 0 < mean(mu) < 1:
             raise ValidationError(

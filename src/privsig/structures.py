@@ -35,6 +35,7 @@ from ._num import (
     _int_dtype,
     _is_rational,
     _product_operands,
+    _tol,
     as_fraction,
 )
 from .beliefs import AtomicDist, dists_close
@@ -421,6 +422,7 @@ def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
     variation.  An exact table compares ``joint * D**(n-1)`` with the
     product of the marginal numerators, both over ``D**n``.
     """
+    tol = _tol(tol)
     num, den = s._num, s._den
     scale = 1
     if den is not None:
@@ -443,7 +445,7 @@ def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
 
 
 def require_private_private(s: FiniteStructure, tol=ORDER_TOL):
-    if not is_private_private(s, tol):
+    if not is_private_private(s, _tol(tol)):
         raise PrivacyError("signals are not mutually independent")
 
 
@@ -455,6 +457,7 @@ def is_perfect(s: FiniteStructure) -> bool:
 
 def equivalent(a: FiniteStructure, b: FiniteStructure, tol=ORDER_TOL) -> bool:
     """Blackwell equivalence: identical per-agent posterior distributions."""
+    tol = _tol(tol)
     if a.m != b.m or a.n != b.n:
         raise ValidationError("structures must share state and agent counts")
     return all(

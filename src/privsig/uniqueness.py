@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._num import LP_TOL, as_fraction
+from ._num import LP_TOL, _tol, as_fraction
 from .beliefs import AtomicDist, ORDER_TOL, _distance_to_conjugate, mean
 from .errors import ResourceBudgetError, ValidationError
 from .structures import FuzzyGrid, GridPartition, GridSet
@@ -48,6 +48,7 @@ def is_pareto_optimal_2x2(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bo
     tolerance of order 1/R: the discretization itself perturbs the conjugate
     by up to 1/(2R).
     """
+    tol = _tol(tol)
     if abs(mean(mu1) - mean(mu2)) > tol:
         raise ValidationError("not a feasible pair: the means differ")
     return _distance_to_conjugate(mu2, mu1) <= tol
@@ -64,6 +65,16 @@ def conjugate_partition(parts) -> list:
         raise ValidationError("partition parts must be nonnegative")
     width = parts[0] if parts else 0
     return [sum(1 for p in parts if p > k) for k in range(width)]
+
+
+def _distinct(values):
+    """The distinct values of an integer array, ascending.
+
+    A sort and a ``diff``: a plain ``np.unique`` imports ``numpy.ma`` on its
+    first call in a process, which costs more than the call itself.
+    """
+    ordered = np.sort(values, axis=None)
+    return ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0]
 
 
 def _strip_zeros(parts):
@@ -251,7 +262,7 @@ def additive_set_test(grid: GridSet, epsilon=None):
     if not switch_uniqueness_matrix(cells):
         return None
     row_counts = cells.sum(axis=1)
-    steps = np.unique(row_counts[row_counts < r])
+    steps = _distinct(row_counts[row_counts < r])
     s = len(steps)
     if s == 0:
         # The full square: no outside cell to separate.
@@ -392,7 +403,7 @@ def _partition_verdict(partition: GridPartition):
         return False, mate, None
     # A label that no cell carries has zero projections, so no relaxation
     # gives it mass: what counts is the number of labels in use.
-    if len(np.unique(partition.cells)) <= 2:
+    if len(_distinct(partition.cells)) <= 2:
         return True, None, None
     off_mass, fuzzy = _partition_lp(partition)
     if off_mass <= LP_TOL:

@@ -16,10 +16,12 @@ from privsig import (
     cdf_eval,
     conjugate,
     dists_close,
+    equivalent,
     feasibility_certificate,
     is_feasible_pair,
     is_mpc,
     is_pareto_optimal_2x2,
+    is_private_private,
     mean,
     point_mass,
     quantile,
@@ -29,7 +31,8 @@ from privsig import (
 )
 from privsig._num import POSTERIOR_MERGE_TOL
 from privsig.beliefs import _cdf_differences, _upper_cdf_integrals, support_gaps
-from privsig.structures import posterior_dist
+from privsig.catalog import symmetric_binary_signal
+from privsig.structures import posterior_dist, require_private_private
 from conftest import random_atomic, random_garble_dist
 
 QUARTERS = AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
@@ -191,6 +194,35 @@ class TestConjugate:
             d = random_atomic(rng, exact=True)
             assert conjugate(conjugate(d)).atoms == d.atoms
             assert mean(conjugate(d)) == mean(d)
+
+
+FRONTIER = (QUARTERS, conjugate(QUARTERS))
+PRIVATE = symmetric_binary_signal(F(3, 4))
+
+
+class TestToleranceInput:
+    """Every public test that takes ``tol`` refuses one that is not a finite
+    non-negative number, rather than giving a verdict."""
+
+    @pytest.mark.parametrize("test, args", [
+        (is_mpc, (QUARTERS, QUARTERS)),
+        (blackwell_dominates, (QUARTERS, QUARTERS)),
+        (dists_close, (QUARTERS, QUARTERS)),
+        (is_feasible_pair, FRONTIER),
+        (feasibility_certificate, FRONTIER),
+        (is_pareto_optimal_2x2, FRONTIER),
+        (is_private_private, (PRIVATE,)),
+        (require_private_private, (PRIVATE,)),
+        (equivalent, (PRIVATE, PRIVATE)),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_bad_tol_is_refused(self, test, args):
+        for tol in (float("nan"), float("inf"), -1e-9, F(-1, 2), "x", None, True, np.nan):
+            with pytest.raises(ValidationError, match="'tol'"):
+                test(*args, tol)
+
+    def test_good_tol_types_give_verdicts(self):
+        for tol in (0, F(1, 10**9), 1e-9, np.float64(1e-9), np.int64(0), 10**400):
+            assert is_feasible_pair(*FRONTIER, tol)
 
 
 class TestOrders:

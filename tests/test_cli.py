@@ -64,6 +64,20 @@ def test_pareto_check(write, capsys):
     assert json.loads(out) == {"pareto_optimal": False}
 
 
+QUARTER_CONJUGATE = {"atoms": [{"x": 0, "w": 0.25}, {"x": 0.5, "w": 0.5}, {"x": 1, "w": 0.25}]}
+
+
+@pytest.mark.parametrize("tol, command", [
+    ("nan", "pareto-check"), ("inf", "pareto-check"), ("-1", "feasible"), ("nan", "feasible"),
+])
+def test_bad_tol_exits_2(write, capsys, tol, command):
+    mu1, mu2 = write("q.json", QUARTER_DIST), write("c.json", QUARTER_CONJUGATE)
+    code, out, err = run_cli(capsys, [f"--tol={tol}", command, "--mu1", mu1, "--mu2", mu2])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'tol'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_uniqueness_matrix_with_witness(write, capsys):
     path = write("m.json", {"matrix": [[1, 0], [0, 1]]})
     code, out, _ = run_cli(capsys, ["uniqueness", "--in", path])

@@ -1,5 +1,9 @@
 """Uniqueness tests: conjugacy, tomography criteria, LP, and oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,6 +30,7 @@ from privsig import (
     switch_uniqueness_matrix,
     uniform_grid,
 )
+import privsig
 from privsig import uniqueness
 from privsig._num import LP_TOL
 from privsig.uniqueness import _additive_lp, _label_swap, _partition_lp
@@ -486,3 +491,21 @@ class TestCombinatorialAdditive:
         assert additive_set_test(g, F(1, 8)) is not None
         assert additive_set_test(g, np.float64(0.125)) is not None
         assert additive_set_test(g, np.int64(1)) is None
+
+
+def test_verdicts_leave_numpy_ma_unimported():
+    # A plain np.unique imports numpy.ma on its first call in a process,
+    # which costs more than the call.
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from privsig import GridPartition, GridSet, additive_set_test, partition_uniqueness_grid
+        ferrers = (np.arange(6) < np.array([[6], [5], [3], [3], [1], [0]])).astype(int)
+        assert additive_set_test(GridSet(ferrers)) is not None
+        assert partition_uniqueness_grid(GridPartition(ferrers))
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(privsig.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
