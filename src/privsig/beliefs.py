@@ -641,9 +641,12 @@ def dists_close(a, b, tol=ORDER_TOL) -> bool:
     are never close.  Atoms of the two distributions are clustered together
     whenever they lie within ``tol`` of each other, directly or through a
     chain of atoms; the per-cluster weights must then agree within ``tol``.
-    Robust to atom splits caused by round-off.
+    Robust to atom splits caused by round-off.  Two distributions of one
+    type with equal atoms are close for every ``tol``.
     """
     tol = _tol(tol)
+    if type(a) is type(b) and a.atoms == b.atoms:
+        return True
     groups = {}  # location or posterior vector -> [weight in a, weight in b]
     for side, dist in enumerate((a, b)):
         for x, w in dist.atoms:

@@ -134,6 +134,22 @@ def _column(window, total, k_n, t):
     return blocks
 
 
+def _table(blocks, u, n_cols):
+    """The certificate's ``(2, rows, n_cols)`` table: row weights ``u``
+    times the share of each block of :func:`_column`.
+
+    Each column's blocks tile rows ``0..len(u)`` in pairs, state 1 then
+    state 0, and the columns come in order; so one ``np.repeat`` per state
+    lays out its shares column by column.
+    """
+    shares = np.array([v for *_, v in blocks], dtype=u.dtype).reshape(-1, 2)
+    lengths = [j - row for _, row, j, _, _ in blocks[::2]]
+    pmf = np.empty((2, len(u), n_cols), dtype=u.dtype)
+    for state in (0, 1):
+        pmf[state] = np.repeat(shares[:, 1 - state], lengths).reshape(n_cols, -1).T
+    return pmf * u[:, None]
+
+
 def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     """Concrete private private structure realizing a feasible belief pair.
 
@@ -194,11 +210,7 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
         excess -= moment - m * z
         todo -= m
         blocks += _column(window, total, len(u), t)
-    pmf = np.zeros((2, len(u), len(targets)))
-    for state, row, j, t, v in blocks:
-        if v:
-            pmf[state, row:j, t] = u[row:j] * v
-    return FiniteStructure._of(pmf, None)
+    return FiniteStructure._of(_table(blocks, u, len(targets)), None)
 
 
 def _exact_certificate(e1, e2, tol):
@@ -257,12 +269,7 @@ def _exact_certificate(e1, e2, tol):
     den = e1.W * dm
     # Every cell is a row weight times a share of its column: under 2 den.
     dtype = _int_dtype(2 * den)
-    u = e1.w.astype(dtype)
-    pmf = np.zeros((2, k_n, len(zs)), dtype=dtype)
-    for state, row, j, t, v in blocks:
-        if v:
-            pmf[state, row:j, t] = u[row:j] * v
-    return FiniteStructure._of(pmf, den)
+    return FiniteStructure._of(_table(blocks, e1.w.astype(dtype), len(zs)), den)
 
 
 # ---------------------------------------------------------------------------

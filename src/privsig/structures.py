@@ -90,9 +90,14 @@ class SimplexDist:
             for vec, w in pairs:
                 if len(vec) != m:
                     raise ValidationError("posterior vectors have mixed lengths")
+                # A NaN or an infinity in vec makes its sum one too; NaN
+                # would pass the sign and simplex tests below.
+                total = sum(vec)
+                if not (_finite(total) and _finite(w)):
+                    raise ValidationError(f"field 'atoms': atom {(vec, w)} is not finite")
                 if any(c < -table_tol for c in vec):
                     raise ValidationError(f"posterior {vec} has a negative entry")
-                if abs(sum(vec) - 1) > probability_tol:
+                if abs(total - 1) > probability_tol:
                     raise ValidationError(f"posterior {vec} is off the simplex")
                 if w < 0:
                     raise ValidationError(f"negative weight {w}")
@@ -120,6 +125,11 @@ class SimplexDist:
             for k in range(m):
                 out[k] = out[k] + vec[k] * w
         return tuple(out)
+
+
+def _finite(value) -> bool:
+    """False for a float NaN or infinity; ints and Fractions are finite."""
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
 
 
 def _cluster(vecs, weights, tol=POSTERIOR_MERGE_TOL):
@@ -265,10 +275,7 @@ class FiniteStructure:
             # Entries and partial sums stay below the total, under 2 * den.
             num = np.ascontiguousarray(num // g, dtype=_int_dtype(2 * den // g))
             den //= g
-            values, inverse = np.unique(num, return_inverse=True)
-            fractions = np.empty(len(values), dtype=object)
-            fractions[:] = [Fraction(v, den) for v in values.tolist()]
-            pmf = fractions[inverse.reshape(num.shape)]
+            pmf = _fractions(num, den)
             pmf.setflags(write=False)
         num.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
@@ -322,10 +329,53 @@ class FiniteStructure:
 
     def signal_marginal(self, agent: int) -> tuple:
         """Unconditional distribution of agent ``agent``'s signal value."""
-        if not (0 <= agent < self.n):
-            raise ValidationError(f"agent index {agent} out of range")
+        agent = _agent(self, agent)
         axes = tuple(ax for ax in range(self._num.ndim) if ax != 1 + agent)
         return tuple(self._values(self._num.sum(axis=axes)))
+
+
+def _fractions(num, den):
+    """The Fractions of nonnegative numerators ``num`` over ``den`` as an
+    object array: one Fraction per distinct nonzero numerator, shared by
+    its cells, and one zero shared by the zero cells.
+
+    Each cell indexes a table that holds the zero, then the distinct
+    numerators in ascending order.  Numerators below four times the cell
+    count find their index in a table of all values up to the largest; any
+    others sort the nonzero numerators and search them.
+    """
+    flat = num.ravel()
+    top = int(flat.max())
+    if num.dtype != object and top < 4 * flat.size:
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[flat] = True
+        seen[0] = False
+        distinct = np.flatnonzero(seen)
+        index = np.cumsum(seen)[flat]
+    else:
+        nonzero = np.flatnonzero(flat)
+        values = flat[nonzero]
+        distinct = np.sort(values)
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        index = np.zeros(flat.size, dtype=np.intp)
+        index[nonzero] = np.searchsorted(distinct, values) + 1
+    # Assigning a list to an object array would look into each Fraction
+    # for a sequence first; np.fromiter takes the entries as they are.
+    table = np.fromiter([Fraction(0), *(Fraction(v, den) for v in distinct.tolist())],
+                        dtype=object)
+    return table[index].reshape(num.shape)
+
+
+def _agent(s: FiniteStructure, agent) -> int:
+    """``agent`` as an int when it names one of the agents of ``s``.
+
+    A bool, a negative index or one past the last agent would otherwise
+    select another axis of the table, or the state axis, silently.
+    """
+    if isinstance(agent, bool) or not isinstance(agent, (int, np.integer)) \
+            or not 0 <= agent < s.n:
+        raise ValidationError(f"field 'agent': expected an int in [0, {s.n}), got {agent!r}")
+    return int(agent)
 
 
 def _group_rows(rows):
@@ -342,6 +392,36 @@ def _group_rows(rows):
     return order[new], group_of
 
 
+#: ``POSTERIOR_MERGE_TOL`` as the exact value of the float.
+_MERGE_TOL_EXACT = Fraction(POSTERIOR_MERGE_TOL)
+
+
+def _separated_order(rows, exact):
+    """The indices of ``rows`` in the lexicographic order of their
+    posteriors when no two lie within ``POSTERIOR_MERGE_TOL``, else None.
+
+    ``rows`` are the distinct rows of :func:`_group_rows`, in its order:
+    float posteriors, or gcd-reduced integer columns whose posterior is the
+    row over its sum.  A None leaves the decision to :func:`_cluster`
+    (notes/decisions.md, "When nothing can merge").
+    """
+    if exact:
+        sums = rows.sum(axis=1)
+        # Two distinct posteriors c / s differ by 1 / s**2 or more somewhere.
+        if int(sums.max()) ** 2 * _MERGE_TOL_EXACT >= 1:
+            return None
+        # Rows and sums are below 10**5, so the quotients sort exactly.
+        quotients = rows.astype(np.int64) / sums.astype(np.int64)[:, None]
+        return np.lexsort(quotients.T[::-1])
+    # In lexicographic order, any two rows differ at least as much as some
+    # step between them does where they first differ.
+    steps = np.diff(rows, axis=0)
+    first = (steps != 0).argmax(axis=1)
+    if not (steps[np.arange(len(steps)), first] > POSTERIOR_MERGE_TOL).all():
+        return None
+    return np.arange(len(rows))
+
+
 def _posteriors(joint, den=None):
     """Clustered Bayes posteriors of a ``(states, values)`` joint table.
 
@@ -351,7 +431,8 @@ def _posteriors(joint, den=None):
     integer column's posterior is its gcd-reduced column up to scale, so a
     Fraction is built once per distinct posterior.  Group weights are
     summed in column order.  The groups are then clustered by
-    :func:`_cluster`.  Returns ``(atoms, value_map)``: the ``(posterior
+    :func:`_cluster`, unless :func:`_separated_order` shows that it would
+    merge none of them.  Returns ``(atoms, value_map)``: the ``(posterior
     vector, weight)`` atoms sorted by vector, and an integer array giving
     each value's atom index, or -1 for values of probability zero.
     """
@@ -365,22 +446,28 @@ def _posteriors(joint, den=None):
     first, group_of = _group_rows(cols)
     totals = np.zeros(len(first), dtype=weights.dtype)
     np.add.at(totals, group_of, weights)
+    rows = cols[first]
     if den is None:
-        vecs = [tuple(v) for v in cols[first].tolist()]
+        vecs = [tuple(v) for v in rows.tolist()]
         totals = totals.tolist()
     else:
-        vecs = [tuple(Fraction(c, sum(v)) for c in v) for v in cols[first].tolist()]
+        vecs = [tuple(Fraction(c, sum(v)) for c in v) for v in rows.tolist()]
         totals = [Fraction(w, den) for w in totals.tolist()]
-    atoms, label = _cluster(vecs, totals)
+    order = _separated_order(rows, den is not None)
+    if order is None:
+        atoms, label = _cluster(vecs, totals)
+        label = np.asarray(label, dtype=int)
+    else:
+        atoms = [(vecs[i], totals[i]) for i in order.tolist()]
+        label = np.argsort(order)
     value_map = np.full(joint.shape[1], -1)
-    value_map[live] = np.asarray(label, dtype=int)[group_of]
+    value_map[live] = label[group_of]
     return atoms, value_map
 
 
 def _agent_joint(s: FiniteStructure, agent: int):
     """The ``(states, values)`` joint numerators of one agent's signal."""
-    if not (0 <= agent < s.n):
-        raise ValidationError(f"agent index {agent} out of range")
+    agent = _agent(s, agent)
     axes = tuple(ax for ax in range(1, s._num.ndim) if ax != 1 + agent)
     return s._num.sum(axis=axes) if axes else s._num
 
@@ -438,7 +525,9 @@ def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
         prod = prod * num.sum(axis=axes).reshape(shape)
     diff = (joint * scale - prod).ravel()
     if den is None:
-        tv = sum(abs(v) for v in diff.tolist()) / 2
+        # A running sum adds in order, as Python's sum of floats did up to
+        # 3.11; np.sum adds pairwise, with other round-off.
+        tv = float(np.cumsum(np.abs(diff))[-1]) / 2
     else:
         tv = Fraction(int(np.abs(diff).sum()), 2 * scale * den)
     return tv <= tol
@@ -495,6 +584,7 @@ def garble(s: FiniteStructure, agent: int, kernel) -> FiniteStructure:
     The result is exact when the table is exact and the kernel is an
     object array of ints and Fractions; otherwise it is a float table.
     """
+    agent = _agent(s, agent)
     kern = np.asarray(kernel)
     exact = s.exact and kern.dtype == object and _is_rational(kern)
     if exact:

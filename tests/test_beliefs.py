@@ -11,6 +11,7 @@ import privsig.beliefs
 from privsig import (
     AtomicDist,
     FiniteStructure,
+    SimplexDist,
     ValidationError,
     blackwell_dominates,
     cdf_eval,
@@ -29,7 +30,7 @@ from privsig import (
     uniform_grid,
     wasserstein1,
 )
-from privsig._num import POSTERIOR_MERGE_TOL
+from privsig._num import ORDER_TOL, POSTERIOR_MERGE_TOL
 from privsig.beliefs import _cdf_differences, _upper_cdf_integrals, support_gaps
 from privsig.catalog import symmetric_binary_signal
 from privsig.structures import posterior_dist, require_private_private
@@ -784,3 +785,49 @@ class TestExactCertificate:
             oracle_certificate(mu1, mu2, 1e-9).pmf.ravel().tolist())
         assert posterior_dist(cert, 0).atoms == mu1.atoms
         assert posterior_dist(cert, 1).atoms == mu2.atoms
+
+
+class _Atoms:
+    """Atoms without a distribution type: ``dists_close`` then compares them
+    by its grouped path, with no shortcut for equal atoms."""
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+
+
+@st.composite
+def close_pairs(draw):
+    """Two AtomicDist or two SimplexDist, float or exact, often equal."""
+    exact = draw(st.booleans())
+    m = draw(st.sampled_from([1, 3]))
+    value = st.integers(0, 4).map(lambda v: F(v, 4) if exact else v / 4)
+
+    def dist(atoms):
+        if m == 1:
+            return AtomicDist([(x[0], w) for x, w in atoms])
+        return SimplexDist(atoms)
+
+    def draw_atoms():
+        k = draw(st.integers(1, 4))
+        vecs = draw(st.lists(st.lists(value, min_size=m - 1 or 1, max_size=m - 1 or 1),
+                             min_size=k, max_size=k, unique_by=tuple))
+        if m > 1:
+            vecs = [[*v, 1 - sum(v)] for v in vecs if sum(v) <= 1] or [[0, 0, 1]]
+        raw = draw(st.lists(st.integers(1, 5), min_size=len(vecs), max_size=len(vecs)))
+        return [(tuple(v), F(r, sum(raw)) if exact else r / sum(raw)) for v, r in zip(vecs, raw)]
+
+    a = dist(draw_atoms())
+    b = a if draw(st.booleans()) else dist(draw_atoms())
+    if draw(st.booleans()):
+        b = type(a)(list(b.atoms))  # equal atoms, another object
+    return a, b
+
+
+class TestDistsCloseShortcut:
+    @settings(max_examples=300, deadline=None)
+    @given(close_pairs(), st.sampled_from([0, 1e-12, ORDER_TOL, 0.3]))
+    def test_equals_the_grouped_path(self, pair, tol):
+        a, b = pair
+        assert dists_close(a, b, tol) == dists_close(a, _Atoms(b.atoms), tol)
+        if a.atoms == b.atoms:
+            assert dists_close(a, _Atoms(b.atoms), 0)

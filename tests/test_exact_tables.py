@@ -33,7 +33,7 @@ from privsig import (
 )
 from privsig._num import ORDER_TOL
 from privsig.errors import PrivacyError
-from privsig.structures import _belief_dist, _cluster, structure_from_grid
+from privsig.structures import _belief_dist, _cluster, _fractions, structure_from_grid
 
 #: Totals of the big-denominator tables: primes beyond int64 and one below.
 PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
@@ -338,3 +338,48 @@ def test_fuzzy_exact_grid_keeps_its_fractions():
     s = structure_from_grid(FuzzyGrid(cells))
     want = np.moveaxis(cells, -1, 0) / 4
     assert s.exact and same(s.pmf, want)
+
+
+# ---------------------------------------------------------------------------
+# The pmf of Fractions against the np.unique build
+# ---------------------------------------------------------------------------
+
+def oracle_fractions(num, den):
+    """The pmf as it was built before: one sort of every cell by np.unique."""
+    values, inverse = np.unique(num, return_inverse=True)
+    fractions = np.empty(len(values), dtype=object)
+    fractions[:] = [F(v, den) for v in values.tolist()]
+    return fractions[inverse.reshape(num.shape)]
+
+
+@st.composite
+def numerator_tables(draw):
+    """Nonnegative numerators with at least one nonzero cell, and a
+    denominator: one cell or up to 60, small values (a table of every
+    value up to the largest) or large ones (a sort), int64 or Python ints."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = math.prod(shape)
+    top = draw(st.sampled_from([1, 3, 4 * size - 1, 4 * size, 10**6, 2**62, 2**70]))
+    zeros = draw(st.floats(0, 1))
+    cells = [0 if draw(st.floats(0, 1)) < zeros else draw(st.integers(1, top))
+             for _ in range(size)]
+    if not any(cells):
+        cells[draw(st.integers(0, size - 1))] = top
+    dtype = object if top > 2**62 or draw(st.booleans()) else np.int64
+    num = np.array(cells, dtype=dtype).reshape(shape)
+    return num, draw(st.sampled_from([1, 7, 2**61 - 1, 2**89 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator_tables())
+def test_pmf_equals_the_unique_build(table):
+    num, den = table
+    assert same(_fractions(num, den), oracle_fractions(num, den))
+
+
+def test_pmf_shares_one_fraction_per_value():
+    num = np.array([[0, 3, 3], [0, 5, 3]])
+    pmf = _fractions(num, 14)
+    assert pmf[0, 0] is pmf[1, 0] and pmf[0, 1] is pmf[0, 2] is pmf[1, 2]
+    assert same(pmf, np.array([[F(0), F(3, 14), F(3, 14)], [F(0), F(5, 14), F(3, 14)]]))
+    assert same(_fractions(np.array([[5]]), 5), np.array([[F(1)]], dtype=object))

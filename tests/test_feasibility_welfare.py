@@ -3,9 +3,13 @@
 import math
 from fractions import Fraction as F
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+from privsig import feasibility_welfare
 
 from privsig import (
     AtomicDist,
@@ -137,9 +141,12 @@ class TestCertificate:
 
 
 @st.composite
-def exact_feasible_pairs(draw, max_atoms=16, max_targets=14):
-    """An exact pair (mu1, mu2): mu2 garbles conjugate(mu1) by a rational kernel."""
-    den = 64
+def exact_feasible_pairs(draw, max_atoms=16, max_targets=14, dens=(64,)):
+    """An exact pair (mu1, mu2): mu2 garbles conjugate(mu1) by a rational kernel.
+
+    The locations of mu1 lie on a grid of a denominator from ``dens``.
+    """
+    den = draw(st.sampled_from(dens))
     k = draw(st.integers(1, max_atoms))
     locs = sorted(draw(st.lists(st.integers(0, den), min_size=k, max_size=k, unique=True)))
     raw = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
@@ -304,3 +311,37 @@ def random_atomic_with_mean(rng, target):
         atoms.append((lo, w * (1 - lam)))
         atoms.append((hi, w * lam))
     return AtomicDist([(x, w) for x, w in atoms if w > 1e-12])
+
+
+def per_block_table(blocks, u, n_cols):
+    """The certificate's table filled one block of rows at a time."""
+    pmf = np.zeros((2, len(u), n_cols), dtype=u.dtype)
+    for state, row, j, t, v in blocks:
+        if v:
+            pmf[state, row:j, t] = u[row:j] * v
+    return pmf
+
+
+class TestCertificateTable:
+    """The table filled by one repeat per state equals the per-block fill,
+    numerators, dtypes and float bits included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_feasible_pairs(dens=(64, 2**61 - 1, 3**45)), st.booleans(), st.booleans())
+    def test_table_equals_the_per_block_fill(self, pair, swap, floats):
+        mu1, mu2 = pair[::-1] if swap else pair
+        if floats:
+            mu1, mu2 = _floats(mu1), _floats(mu2)
+        assume(0 < mean(mu1) < 1 and 0 < mean(mu2) < 1)
+        got = feasibility_certificate(mu1, mu2)
+        with mock.patch.object(feasibility_welfare, "_table", per_block_table):
+            want = feasibility_certificate(mu1, mu2)
+        assert (got is None) == (want is None)
+        if got is None:
+            return
+        assert got._den == want._den and got._num.dtype == want._num.dtype
+        assert got._num.shape == want._num.shape
+        for a, b in ((got._num, want._num), (got.pmf, want.pmf)):
+            pairs = zip(a.ravel().tolist(), b.ravel().tolist())
+            assert all(type(x) is type(y) and x == y for x, y in pairs)
+

@@ -1,10 +1,11 @@
 """Finite structures: posteriors, independence, equivalence, secrets."""
 
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from privsig import (
     FiniteStructure,
@@ -32,7 +33,14 @@ from privsig.catalog import (
     two_bit_structure,
 )
 from privsig._num import PROBABILITY_TOL, TABLE_TOL, WEIGHT_DROP_TOL
-from privsig.structures import POSTERIOR_MERGE_TOL, structure_from_grid
+from privsig import structures
+from privsig.structures import (
+    POSTERIOR_MERGE_TOL,
+    _cluster,
+    _group_rows,
+    _posteriors,
+    structure_from_grid,
+)
 from conftest import random_private_structure, three_state_binary_signal
 
 
@@ -138,6 +146,22 @@ class TestValidation:
         assert len(SimplexDist([kept, (dropped[0], drop + tiny)]).atoms) == 2
         with pytest.raises(ValidationError, match="weights sum"):
             SimplexDist([((F(1), F(0)), 1 + table + tiny)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float32("nan")])
+    def test_simplex_dist_rejects_non_finite_entries(self, bad):
+        # NaN passed both the sign test and the simplex test.
+        with pytest.raises(ValidationError, match="'atoms'.*finite"):
+            SimplexDist([((bad, 0.5, 0.5), 1.0)])
+        with pytest.raises(ValidationError, match="'atoms'.*finite"):
+            SimplexDist([((F(1, 2), bad, F(1, 2)), F(1))])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
+    def test_simplex_dist_rejects_non_finite_weights(self, bad):
+        # A NaN weight was dropped as if it were zero.
+        with pytest.raises(ValidationError, match="'atoms'.*finite"):
+            SimplexDist([((0.0, 0.5, 0.5), bad)])
+        with pytest.raises(ValidationError, match="'atoms'.*finite"):
+            SimplexDist([((1.0, 0.0, 0.0), 1.0), ((0.0, 0.5, 0.5), bad)])
 
     @pytest.mark.parametrize("entry, field", [
         ((0, (-1, 0), 1), "signals"),
@@ -254,6 +278,27 @@ class TestPrivacyPerfection:
     def test_noisy_not_perfect(self):
         assert not is_perfect(conditionally_iid_pair(F(3, 4)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_float_total_variation_is_the_in_order_sum(self, n, size, seed):
+        # The verdict flips exactly at the total variation of the loop that
+        # added |joint - product| left to right, so both agree to the bit.
+        pmf = np.random.default_rng(seed).random((2,) + (size,) * n)
+        s = FiniteStructure(pmf / pmf.sum())
+        joint = s.pmf.sum(axis=0)
+        prod = np.ones(())
+        for agent in range(n):
+            axes = tuple(ax for ax in range(n + 1) if ax != 1 + agent)
+            prod = prod * s.pmf.sum(axis=axes).reshape([-1 if k == agent else 1
+                                                         for k in range(n)])
+        tv = 0
+        for v in (joint - prod).ravel().tolist():
+            tv += abs(v)
+        tv /= 2
+        assume(tv > 0)
+        assert is_private_private(s, tv)
+        assert not is_private_private(s, float(np.nextafter(tv, 0)))
+
     def test_grid_structures_private_and_perfect(self, rng):
         for _ in range(10):
             s = random_private_structure(
@@ -354,6 +399,35 @@ class TestGarble:
         kernel = np.array([[0.5, 0.5]] * 3 + [[float("nan"), 1.0]])
         with pytest.raises(ValidationError, match="'kernel'"):
             garble(blocks, 0, kernel)
+
+    def test_negative_agent_is_refused(self):
+        # Agent -1 of a 2 x 2 x 2 table garbled the state axis: the result
+        # made the state independent of both signals, with no error.
+        s = conditionally_iid_pair(F(3, 4))
+        with pytest.raises(ValidationError, match="'agent'"):
+            garble(s, -1, np.eye(2))
+
+    def test_agent_past_the_last_is_refused(self):
+        # Agent 2 of two agents raised a bare IndexError.
+        s = conditionally_iid_pair(F(3, 4))
+        with pytest.raises(ValidationError, match="'agent'"):
+            garble(s, 2, np.eye(2))
+
+    @pytest.mark.parametrize("agent", [True, False, 1.0, "1", None])
+    def test_agent_must_be_an_int(self, agent):
+        # posterior_dist(s, True) was read as agent 1.
+        s = conditionally_iid_pair(F(3, 4))
+        for call in (lambda: garble(s, agent, np.eye(2)), lambda: posterior_dist(s, agent),
+                     lambda: s.signal_marginal(agent)):
+            with pytest.raises(ValidationError, match="'agent'"):
+                call()
+
+    @pytest.mark.parametrize("agent", [1, np.int64(1), np.int8(1)])
+    def test_numpy_int_agents_are_ints(self, agent):
+        s = conditionally_iid_pair(F(3, 4))
+        assert same_structure(garble(s, agent, np.eye(2, dtype=int).astype(object)), s)
+        assert posterior_dist(s, agent).atoms == posterior_dist(s, 1).atoms
+        assert s.signal_marginal(agent) == s.signal_marginal(1)
 
 
 class TestSecretSplit:
@@ -513,3 +587,170 @@ class TestPosteriorClustering:
             disclosed = finite_disclosure(s1)
             assert disclosed.exact == exact
             assert disclosed.alphabet_sizes[1] <= len(posterior_dist(s1, 0).atoms) + 1
+
+
+# ---------------------------------------------------------------------------
+# The no-merge guard of _posteriors against a run of _cluster every time
+# ---------------------------------------------------------------------------
+
+def always_cluster_posteriors(joint, den=None):
+    """``_posteriors`` as it was before the guard: ``_cluster`` on every call."""
+    probs = joint.sum(axis=0)
+    live = np.flatnonzero(probs > 0)
+    cols, weights = joint[:, live].T, probs[live]
+    if den is None:
+        cols = cols / weights[:, None]
+    else:
+        cols = cols // np.gcd.reduce(cols, axis=1)[:, None]
+    first, group_of = _group_rows(cols)
+    totals = np.zeros(len(first), dtype=weights.dtype)
+    np.add.at(totals, group_of, weights)
+    if den is None:
+        vecs = [tuple(v) for v in cols[first].tolist()]
+        totals = totals.tolist()
+    else:
+        vecs = [tuple(F(c, sum(v)) for c in v) for v in cols[first].tolist()]
+        totals = [F(w, den) for w in totals.tolist()]
+    atoms, label = _cluster(vecs, totals)
+    value_map = np.full(joint.shape[1], -1)
+    value_map[live] = np.asarray(label, dtype=int)[group_of]
+    return atoms, value_map
+
+
+def typed_equal(a, b):
+    """Equal values of equal types, through tuples and lists."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(typed_equal, a, b))
+    return type(a) is type(b) and a == b
+
+
+def same_structure(a, b):
+    return (a.exact == b.exact and typed_equal(a.pmf.tolist(), b.pmf.tolist())
+            and a._num.dtype == b._num.dtype)
+
+
+#: Offsets, in units of POSTERIOR_MERGE_TOL, between near-duplicate posteriors.
+NUDGES = (0.3, 0.5, 0.6, 0.9, 1.0, 1.1, 1.2, 2.0)
+
+
+@st.composite
+def float_joints(draw):
+    """A float ``(states, values)`` joint of 1-4 states and 1-40 values.
+
+    Values repeat a few posteriors, some moved by multiples of
+    ``NUDGES`` tol from one coordinate to another: within tol, on it and
+    beyond it, singly and in chains.  Some values have probability zero.
+    """
+    m = draw(st.integers(1, 4))
+    base = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    bases = draw(st.lists(base, min_size=1, max_size=6))
+    cols = []
+    for _ in range(draw(st.integers(1, 40))):
+        post = np.array(draw(st.sampled_from(bases)), dtype=float)
+        post /= post.sum()
+        if m > 1 and draw(st.booleans()):
+            to = int(post.argmax())
+            at = draw(st.sampled_from([k for k in range(m) if k != to]))
+            nudge = draw(st.sampled_from(NUDGES)) * draw(st.integers(1, 3)) * POSTERIOR_MERGE_TOL
+            post[at] += nudge
+            post[to] -= nudge
+        cols.append(post * draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 3.0])))
+    joint = np.array(cols).T
+    assume(joint.sum() > 0)
+    return joint
+
+
+@st.composite
+def exact_joints(draw):
+    """Integer numerators of a ``(states, values)`` joint, and their total.
+
+    Entries are small or a multiple of a large scale, and columns repeat a
+    few templates up to a factor and a bump of 1 per entry.  At scales of
+    10**5 and more the reduced column sums pass the guard's bound, and a
+    bump next to small entries moves a posterior by about 1 / sum**2, so
+    the clustering loop runs and merges.  ``int64`` or Python ints.
+    """
+    m = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 7, 10**5, 10**6, 10**8, 10**11]))
+    entry = st.one_of(st.integers(0, 3), st.integers(1, 3).map(lambda v: v * scale))
+    templates = draw(st.lists(st.lists(entry, min_size=m, max_size=m).filter(any),
+                              min_size=1, max_size=6))
+    cols = []
+    for _ in range(draw(st.integers(1, 40))):
+        col = np.array(draw(st.sampled_from(templates)), dtype=np.int64)
+        col = col * draw(st.sampled_from([0, 1, 1, 2, 3]))
+        cols.append(col + draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    joint = np.array(cols).T
+    assume(joint.sum() > 0)
+    if draw(st.booleans()):
+        joint = joint.astype(object)
+    return joint, int(joint.sum())
+
+
+#: The posteriors (0, 1/2, 1/2) and (tol, 1/2 - tol/2, 1/2 - tol/2): they
+#: differ by exactly tol where they first differ and by less after, so
+#: they merge.
+BOUNDARY_JOINT = np.array([[0.0, 0.5, 0.5],
+                           [POSTERIOR_MERGE_TOL, 0.5 - POSTERIOR_MERGE_TOL / 2,
+                            0.5 - POSTERIOR_MERGE_TOL / 2]]).T
+
+
+class TestPosteriorGuard:
+    """``_posteriors`` skips ``_cluster`` only when it would merge nothing
+    (notes/decisions.md, "When nothing can merge")."""
+
+    @staticmethod
+    def check(joint, den=None):
+        got_atoms, got_map = _posteriors(joint, den)
+        want_atoms, want_map = always_cluster_posteriors(joint, den)
+        assert typed_equal(got_atoms, want_atoms)
+        assert got_map.dtype == want_map.dtype and np.array_equal(got_map, want_map)
+
+    def test_first_coordinates_exactly_tol_apart_merge(self):
+        posteriors = BOUNDARY_JOINT / BOUNDARY_JOINT.sum(axis=0)
+        assert posteriors[0, 1] - posteriors[0, 0] == POSTERIOR_MERGE_TOL
+        atoms, value_map = _posteriors(BOUNDARY_JOINT)
+        assert len(atoms) == 1 and value_map.tolist() == [0, 0]
+
+    def test_exact_posteriors_below_tol_apart_merge(self):
+        # Column sums of 10**6: the posteriors 1 / 10**6 and 1 / (10**6 + 1)
+        # are about 1e-12 apart, though 10**6 * tol < 1.
+        joint = np.array([[1, 1, 1], [10**6 - 1, 10**6, 2]])
+        atoms, value_map = _posteriors(joint, int(joint.sum()))
+        assert len(atoms) == 2 and value_map.tolist() == [0, 0, 1]
+        self.check(joint, int(joint.sum()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_joints())
+    @example(BOUNDARY_JOINT)
+    def test_float_joints_match_the_clustering_loop(self, joint):
+        self.check(joint)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_joints())
+    def test_exact_joints_match_the_clustering_loop(self, table):
+        self.check(*table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(float_joints(), exact_joints()))
+    def test_public_results_do_not_depend_on_the_guard(self, table):
+        joint, den = table if isinstance(table, tuple) else (table / table.sum(), None)
+        assume((joint.sum(axis=1) > 0).all())
+        s = FiniteStructure._of(joint, den)
+        # A second agent with two values, independent of the state.
+        halves = np.stack([joint, joint], axis=2)
+        two = FiniteStructure._of(halves, 2 * den) if den else FiniteStructure._of(halves / 2, None)
+
+        def results():
+            values = [posterior_dist(s, 0).atoms, joint_posterior_dist(two).atoms,
+                      equivalent(s, direct_revelation(s)), equivalent(two, two)]
+            tables = [direct_revelation(s), direct_revelation(two)]
+            if s.m == 2:
+                tables.append(finite_disclosure(s))
+            return values, tables
+
+        values, tables = results()
+        with mock.patch.object(structures, "_separated_order", return_value=None):
+            want_values, want_tables = results()
+        assert typed_equal(values, want_values)
+        assert all(map(same_structure, tables, want_tables))
