@@ -3,9 +3,11 @@
 A ladder script defines ``cases()``, a list of ``(op, path, size fields,
 call)`` built after privsig is importable, and hands it to :func:`main`
 with its targets and the description of its inputs.  Each tree is a
-checkout of this repository and is measured in its own interpreter, which
-imports privsig from the tree's ``src/`` and the input generators and
-answer canonicalizer from its ``perfbench/``.  The trees run alternately,
+checkout of this repository.  Every case of a tree is measured in a fresh
+interpreter, which imports privsig from the tree's ``src/`` and the input
+generators and answer canonicalizer from its ``perfbench/``, so no case
+runs on a heap that the calls of an earlier case left (each worker still
+builds the inputs of every case).  The trees run alternately,
 ``--runs`` times each, and every case reports the median over all of its
 timed calls.  A case's answers from the two trees are compared through
 ``perfbench.checks.canon``, so a faster wrong answer shows as
@@ -29,30 +31,40 @@ def key(op, path, size):
     return json.dumps([op, path, size])
 
 
-def worker(cases, tree, repeats):
-    """Time every case of ``tree``; print {key: {times_s, answer}} as JSON."""
+def worker(cases, tree, repeats, case):
+    """Time the case keyed ``case`` of ``tree`` and print {times_s, answer}
+    as JSON; with no ``case``, print the keys of every case."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench"]
     from checks import canon
 
-    result = {}
-    for op, path, size, call in cases():
-        answer = call()  # warm-up; its answer is the one compared
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t0)
-        digest = hashlib.sha256(repr(canon(answer)).encode()).hexdigest()
-        result[key(op, path, size)] = {"times_s": times, "answer": digest}
-    print(json.dumps(result))
+    calls = {key(op, path, size): call for op, path, size, call in cases()}
+    if case is None:
+        print(json.dumps(list(calls)))
+        return
+    call = calls[case]
+    answer = call()  # warm-up; its answer is the one compared
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    digest = hashlib.sha256(repr(canon(answer)).encode()).hexdigest()
+    print(json.dumps({"times_s": times, "answer": digest}))
 
 
-def measure(script, tree, repeats):
+def run_worker(script, tree, *args):
     proc = subprocess.run(
-        [sys.executable, script, "--worker", tree, "--repeats", str(repeats)],
+        [sys.executable, script, "--worker", tree, *args],
         check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def measure(script, tree, repeats):
+    """{key: {times_s, answer}} of every case of ``tree``, each in a fresh
+    worker process."""
+    return {case: run_worker(script, tree, "--repeats", str(repeats), "--case", case)
+            for case in run_worker(script, tree)}
 
 
 def main(script, cases, targets, inputs, argv=None):
@@ -68,9 +80,10 @@ def main(script, cases, targets, inputs, argv=None):
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--worker")
+    parser.add_argument("--case")
     args = parser.parse_args(argv)
     if args.worker:
-        worker(cases, args.worker, args.repeats)
+        worker(cases, args.worker, args.repeats, args.case)
         return
     trees = {"parent": args.parent, "change": args.change}
     samples = {"parent": [], "change": []}
@@ -102,7 +115,7 @@ def main(script, cases, targets, inputs, argv=None):
         "numpy": numpy.__version__,
         "method": (
             f"Median wall time over {args.runs} alternating runs per tree of {args.repeats} "
-            "calls each after one warm-up call, each tree in its own interpreter: "
+            "calls each after one warm-up call, each case in a fresh interpreter: "
             f"python notes/{os.path.basename(script)} PARENT_TREE CHANGE_TREE --runs {args.runs} "
             f"--repeats {args.repeats}. Inputs: {inputs} same_answer compares "
             "perfbench.checks.canon of each answer, which tells Fractions, ints and "

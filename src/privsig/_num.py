@@ -12,7 +12,8 @@ exact simplex one per tableau row (notes/decisions.md, "Exact tables on one
 common denominator", "Exact beliefs on one common denominator" and "Exact
 simplex on integer rows").  The helpers below convert to that form.
 
-Every float tolerance of the package is defined once, in the table below.
+Every float tolerance of the package is defined once, in the table below,
+and its exact value once, next to it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,19 @@ PROBABILITY_TOL = 1e-9
 SLACK_TOL = -1e-9
 #: LP optima within this of the indicator value count as equal.
 LP_TOL = 1e-7
+
+#: The exact value of each tolerance above.  Comparing a Fraction with a
+#: float converts the float each time, so exact code compares with these.
+_EXACT_TOLS = {tol: Fraction(tol) for tol in (
+    ORDER_TOL, MERGE_TOL, WEIGHT_DROP_TOL, POSTERIOR_MERGE_TOL, TABLE_TOL,
+    PROBABILITY_TOL, SLACK_TOL, LP_TOL,
+)}
+
+
+def _exact_tol(tol):
+    """The exact value of ``tol``, made once for the tolerances above."""
+    exact = _EXACT_TOLS.get(tol)
+    return Fraction(tol) if exact is None else exact
 
 
 def _tol(tol):

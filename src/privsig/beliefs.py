@@ -22,7 +22,9 @@ another (notes/decisions.md, "Exact beliefs on one common denominator").
 The support gaps, the conjugate, the mean, the order tests and the
 earth-mover distance of exact distributions run on those integers and build
 a Fraction only for a value they return, of the type the Fraction arithmetic
-gives it.  Float and mixed distributions take the float code.
+gives it.  The support gaps of a float or mixed distribution come from the
+same sweep, run on its atoms as float64 arrays; its order tests and
+earth-mover distance walk its atoms in floats.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from ._num import (
     TABLE_TOL,
     WEIGHT_DROP_TOL,
     _common_denominator,
+    _exact_tol,
     _int_dtype,
     _tol,
     is_exact,
@@ -56,6 +59,8 @@ class _Ints(NamedTuple):
     locations ascend.  Each array is ``int64`` while its entries and
     running sums fit (the weights add up to less than 2), else Python ints.
     ``xf`` and ``wf`` mark the values that are Fractions rather than ints.
+    :func:`_float_view` fills the same fields with float64 arrays over
+    ``X = W = 1`` and no flags.
     """
 
     x: np.ndarray
@@ -86,20 +91,20 @@ class AtomicDist:
     atoms: tuple
 
     def __init__(self, atoms):
-        self._set_atoms(atoms, merge=True)
+        self._set_atoms(atoms)
 
     @classmethod
-    def _of_clusters(cls, atoms, checked=True):
-        """The distribution of atoms that are already clustered.
+    def _of_clusters(cls, atoms):
+        """The distribution of the posteriors that the library clustered.
 
         Drops and renormalizes as the constructor does, but merges no
         atoms: clustering the means of clusters again can merge two of them
-        (notes/decisions.md, "Posterior clustering").  With ``checked``
-        false the atoms are exact posteriors, in [0, 1] with positive
-        weights by construction, and are not validated again.
+        (notes/decisions.md, "Posterior clustering").  The posteriors lie
+        in [0, 1] with positive weights by construction, float or exact,
+        so they are not validated again.
         """
         dist = object.__new__(cls)
-        dist._set_atoms(atoms, merge=False, check=checked)
+        dist._set_atoms(atoms, clustered=True)
         return dist
 
     @classmethod
@@ -111,7 +116,7 @@ class AtomicDist:
         object.__setattr__(dist, "_ints", ints)
         return dist
 
-    def _set_atoms(self, atoms, merge, check=True):
+    def _set_atoms(self, atoms, clustered=False):
         not_pairs = "field 'atoms': expected (location, weight) pairs of numbers"
         try:
             # A caller's own tuples are kept, not copied.
@@ -120,23 +125,24 @@ class AtomicDist:
             raise ValidationError(not_pairs) from None
         if not pairs:
             raise ValidationError("a distribution needs at least one atom")
-        if check:
+        if not clustered:
             try:
                 for x, w in pairs:
                     if x.__class__ is bool or w.__class__ is bool:
                         raise ValidationError("field 'atoms': booleans are not numbers")
                     if not (0 <= x <= 1):
                         raise ValidationError(f"atom location {x} outside [0, 1]")
-                    if w < 0:
-                        raise ValidationError(f"negative atom weight {w}")
+                    # NaN fails both comparisons; a Fraction is finite.
+                    if w < 0 or (w.__class__ is not Fraction and not w < math.inf):
+                        raise ValidationError(
+                            f"field 'atoms': atom weight {w} is negative or not finite")
             except ValidationError:
                 raise
             except (TypeError, ValueError):
                 raise ValidationError(not_pairs) from None
         drop_tol, merge_tol = WEIGHT_DROP_TOL, MERGE_TOL
         if isinstance(pairs[0][1], Fraction):
-            # Comparing a Fraction with a float converts the float each time.
-            drop_tol, merge_tol = Fraction(drop_tol), Fraction(merge_tol)
+            drop_tol, merge_tol = _exact_tol(drop_tol), _exact_tol(merge_tol)
         kept = [p for p in pairs if p[1] > drop_tol]
         if not kept:
             raise ValidationError("all atom weights are (near) zero")
@@ -144,7 +150,7 @@ class AtomicDist:
         kept.sort(key=itemgetter(0))
 
         merged = kept
-        if merge:
+        if not clustered:
             # A cluster starts at each atom MERGE_TOL or more above the
             # start (the anchor) of the cluster before it.
             starts, anchor = [0], kept[0][0]
@@ -314,8 +320,6 @@ def quantile(dist: AtomicDist, u):
 # a value is a Fraction exactly when a Fraction took part in computing it,
 # and an int otherwise, which the boolean flag arrays track.
 
-_DROP_TOL, _MERGE_TOL = Fraction(WEIGHT_DROP_TOL), Fraction(MERGE_TOL)
-
 
 def _number(num, den, frac):
     """The value ``num / den``: a Fraction if ``frac``, else an int."""
@@ -340,23 +344,33 @@ def _cumulative(ints, D):
     return np.concatenate((np.zeros(1, w.dtype), np.cumsum(w)))
 
 
+def _float_view(dist):
+    """The atoms of a float or mixed ``dist`` as float64 arrays, in the
+    fields of :class:`_Ints` over the denominators 1, without type flags."""
+    atoms = np.array(dist.atoms, dtype=float)
+    return _Ints(atoms[:, 0], 1, atoms[:, 1], 1, None, None)
+
+
 def _gaps(e):
     """Every support gap ``j = 0..k`` of ``e``, empty ones included:
     ``(location over W, length over X, location flags, length flags)``.
+    The flags are None for a :func:`_float_view`.
 
     Gap ``j``'s atom lies at ``1 - C_j``, pinned to 0 when the weights add
-    up to more than 1, and weighs ``x_{j+1} - x_j``.
+    up to more than 1, and weighs ``x_{j+1} - x_j``.  Each ``C_j`` adds the
+    weights in atom order, so float gaps are those of the sums in order.
     """
     ends = np.concatenate((np.zeros(1, e.x.dtype), e.x, np.full(1, e.X, e.x.dtype)))
     loc = e.W - np.concatenate((np.zeros(1, e.w.dtype), np.cumsum(e.w)))
+    low = loc < 0
+    loc[low] = 0
+    if e.wf is None:
+        return loc, np.diff(ends), None, None
     # 0 and 1 take the type of the first weight, as the Fraction code's do.
     first = e.wf[:1]
     loc_f = np.logical_or.accumulate(np.concatenate((first, e.wf)))
+    loc_f[low] = first[0]
     gap_f = np.concatenate((first, e.xf)) | np.concatenate((e.xf, first))
-    low = loc < 0
-    if low.any():
-        loc[low] = 0
-        loc_f[low] = first[0]
     return loc, np.diff(ends), loc_f, gap_f
 
 
@@ -368,9 +382,9 @@ def _clean_conjugate(e):
     keep = np.flatnonzero(gap > 0)[::-1]
     x, w = loc[keep], gap[keep]
     # w / X > WEIGHT_DROP_TOL and steps / W >= MERGE_TOL, on the integers.
-    if w.min() <= math.floor(_DROP_TOL * e.X):
+    if w.min() <= math.floor(_exact_tol(WEIGHT_DROP_TOL) * e.X):
         return None
-    if len(x) > 1 and np.diff(x).min() < math.ceil(_MERGE_TOL * e.W):
+    if len(x) > 1 and np.diff(x).min() < math.ceil(_exact_tol(MERGE_TOL) * e.W):
         return None
     return _Ints(x, e.W, w, e.X, loc_f[keep], gap_f[keep])
 
@@ -418,18 +432,13 @@ def _integral_terms(s):
     return np.diff(s.y.astype(dtype)), s.d[:-1].astype(dtype)
 
 
-def _upper_integrals(s):
-    """int_y^1 (F_a - F_b) at each breakpoint, over ``Y D``."""
+def _is_mpc_ints(ea, eb, tol):
+    """:func:`is_mpc` on integers, with the verdicts of the Fraction code:
+    int_y^1 (F_a - F_b) at each breakpoint, over ``Y D``."""
+    s = _sweep(ea, eb)
     widths, diffs = _integral_terms(s)
     vals = np.zeros(len(s.y), widths.dtype)
     vals[:-1] = np.cumsum((widths * diffs)[::-1])[::-1]
-    return vals
-
-
-def _is_mpc_ints(ea, eb, tol):
-    """:func:`is_mpc` on integers, with the verdicts of the Fraction code."""
-    s = _sweep(ea, eb)
-    vals = _upper_integrals(s)
     scale = s.Y * s.D
     return (abs(Fraction(int(vals[0]), scale)) <= tol
             and Fraction(int(vals.min()), scale) >= -tol)
@@ -463,31 +472,16 @@ def support_gaps(dist: AtomicDist):
     Gap ``j`` lies between atoms ``x_j < x_{j+1}`` (``x_0 = 0``,
     ``x_{k+1} = 1``); its atom has location ``1 - C_j``, where ``C_j`` is
     the weight of the first ``j`` atoms, and weight ``x_{j+1} - x_j``.
-    Returns the list of indices and the parallel list of atoms.
+    Returns the list of indices and the parallel list of atoms: floats for
+    a float or mixed ``dist``.
     """
     e = dist._ints
-    if e is not None:
-        loc, gap, loc_f, gap_f = _gaps(e)
-        keep = np.flatnonzero(gap > 0)
-        locs = _numbers(loc[keep], e.W, loc_f[keep])
-        return keep.tolist(), list(zip(locs, _numbers(gap[keep], e.X, gap_f[keep])))
-    zero = dist.weights[0] * 0  # Fraction(0) on the exact path, else 0.0
-    one = zero + 1
-    xs = list(dist.locations) + [one]
-    cums = [zero]
-    for w in dist.weights:
-        cums.append(cums[-1] + w)
-    prev = zero
-    indices, atoms = [], []
-    for j, x_next in enumerate(xs):
-        gap = x_next - prev
-        if gap > 0:
-            indices.append(j)
-            # Float weight sums can overshoot 1 by an ulp; pin the location
-            # back into the unit interval.
-            atoms.append((min(max(one - cums[j], zero), one), gap))
-        prev = x_next
-    return indices, atoms
+    loc, gap, loc_f, gap_f = _gaps(_float_view(dist) if e is None else e)
+    keep = np.flatnonzero(gap > 0)
+    if e is None:
+        return keep.tolist(), list(zip(loc[keep].tolist(), gap[keep].tolist()))
+    locs = _numbers(loc[keep], e.W, loc_f[keep])
+    return keep.tolist(), list(zip(locs, _numbers(gap[keep], e.X, gap_f[keep])))
 
 
 def conjugate(dist: AtomicDist) -> AtomicDist:
@@ -518,10 +512,6 @@ def _cdf_differences(a: AtomicDist, b: AtomicDist):
     equal ``cdf_eval(a, y) - cdf_eval(b, y)`` exactly.  Returns
     ``(breakpoints, differences)``.
     """
-    ea, eb = a._ints, b._ints
-    if ea is not None and eb is not None:
-        s = _sweep(ea, eb)
-        return _numbers(s.y, s.Y, s.yf), _numbers(s.d, s.D, s.df)
     xa, xb = a.atoms, b.atoms
     na, nb = len(xa), len(xb)
     i = j = 0
@@ -556,12 +546,6 @@ def _upper_cdf_integrals(a: AtomicDist, b: AtomicDist):
     breakpoints, so the integral is piecewise linear and its extrema over y
     lie on the returned grid.
     """
-    ea, eb = a._ints, b._ints
-    if ea is not None and eb is not None:
-        s = _sweep(ea, eb)
-        terms_f = s.yf[1:] | s.yf[:-1] | s.df[:-1]
-        vals_f = np.append(np.logical_or.accumulate(terms_f[::-1])[::-1], False)
-        return _numbers(s.y, s.Y, s.yf), _numbers(_upper_integrals(s), s.Y * s.D, vals_f)
     ys, diffs = _cdf_differences(a, b)
     vals = [0] * len(ys)
     for i in range(len(ys) - 2, -1, -1):
@@ -656,8 +640,7 @@ def dists_close(a, b, tol=ORDER_TOL) -> bool:
     if len({len(x) for x in vecs}) > 1:
         return False
     if isinstance(vecs[0][0], Fraction):
-        # Comparing a Fraction with a float converts the float each time.
-        tol = Fraction(tol)
+        tol = _exact_tol(tol)
     # Every earlier vector within tol of this one has a first coordinate
     # within tol of its own, so it lies in the run just before it in
     # lexicographic order; that run can also hold far vectors, because one

@@ -23,6 +23,7 @@ them, contains a maximizer; no numerical search runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,11 +33,11 @@ from ._num import _int_dtype, _tol
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
+    _float_view,
     _gaps,
     _is_mpc_of_conjugate,
     conjugate,
     mean,
-    support_gaps,
 )
 from .errors import ValidationError
 from .structures import FiniteStructure
@@ -166,11 +167,20 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
     from the conjugate mass still free (Beiglboeck & Juillet 2016).  The
     garbling is independent of the state and of agent 1, so privacy holds
     exactly.  Exact inputs give an exact table at every size, swept on
-    integer numerators; when either input holds floats, the table holds
-    floats.  On pairs that are feasible only within ``tol``, any
-    first-moment mismatch between the free conjugate mass and the atoms
-    still to place is spread evenly over those atoms, and a pair whose
-    columns still miss ``mu2`` by more than ``tol`` gets None.
+    integer numerators; when either input holds floats, the same sweep runs
+    on floats and the table holds floats.  On pairs that are feasible only
+    within ``tol``, any first-moment mismatch between the free conjugate
+    mass and the atoms still to place is spread evenly over those atoms,
+    and a pair whose columns still miss ``mu2`` by more than ``tol`` gets
+    None.
+
+    One loop serves both kinds (notes/decisions.md, "Feasibility
+    certificates").  On integers, locations are numerators over ``ly`` and
+    masses over ``dm``; a window that stops between two breakpoints moves
+    by a ratio ``p / s`` after ``dm`` and every mass are multiplied by its
+    reduced denominator, and the table holds row weights over ``W1`` times
+    column shares over ``dm``.  Floats take ``ly = dm = 1``, each value
+    rounded once from its input, and move the window by ``p / s``.
     """
     tol = _tol(tol)
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
@@ -181,57 +191,27 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
             )
     if not is_feasible_pair(mu1, mu2, tol):
         return None
-    if mu1._ints is not None and mu2._ints is not None:
-        return _exact_certificate(mu1._ints, mu2._ints, tol)
-    u = np.array([float(w) for w in mu1.weights])
-    indices, atoms = support_gaps(mu1)
-    free = [(j, float(y), float(v)) for j, (y, v) in zip(indices, atoms)][::-1]
-    targets = [(float(z), float(m)) for z, m in mu2.atoms]
-    # First moment the free mass holds beyond what the targets still ask
-    # for; it is spread evenly over those targets' windows.
-    excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in targets)
-    todo = sum(m for _, m in targets)
-    blocks = []
-    for t, (z, m) in enumerate(targets):
-        window = free
-        if t < len(targets) - 1:
-            window = []
-            if free:
-                a, b, left, right, step = _shadow(free, m, m * (z + excess / todo))
-                if step:
-                    step = step[0] / step[1]
-                    left, right = left + step, right + step
-                window, free = _cut(free, a, b, left, right)
-        window.sort()
-        total = sum(mass for _, _, mass in window)
-        moment = sum(mass * y for _, y, mass in window)
-        if abs(total - m) > tol or abs(moment - total * z) > tol * total:
-            return None
-        excess -= moment - m * z
-        todo -= m
-        blocks += _column(window, total, len(u), t)
-    return FiniteStructure._of(_table(blocks, u, len(targets)), None)
+    e1, e2 = mu1._ints, mu2._ints
+    exact = e1 is not None and e2 is not None
+    if exact:
+        ly, dm = math.lcm(e1.W, e2.X), math.lcm(e1.X, e2.W)
+        ratio, div = Fraction, operator.floordiv
+    else:
+        e1 = _float_view(mu1) if e1 is None else e1
+        e2 = _float_view(mu2) if e2 is None else e2
+        ly = dm = 1
+        ratio = div = operator.truediv
 
+    def over(nums, den, common):
+        # nums / den as numerators over common, or as floats.
+        return [div(v * common, den) for v in nums.tolist()]
 
-def _exact_certificate(e1, e2, tol):
-    """:func:`feasibility_certificate` of an exact pair, on integers.
-
-    Locations are numerators over ``ly``, the common denominator of the
-    gap locations (``W1``) and the target locations (``X2``).  Masses are
-    numerators over ``dm``, at first that of the gap masses (``X1``) and
-    the target masses (``W2``).  A window that stops between two
-    breakpoints moves by a ratio ``p / s``; then ``dm`` and every mass are
-    multiplied by its reduced denominator, so all masses stay integers.
-    The table holds row weights over ``W1`` times column shares over ``dm``.
-    """
     loc, gap, _, _ = _gaps(e1)
     keep = np.flatnonzero(gap > 0)[::-1]
-    ly, dm = math.lcm(e1.W, e2.X), math.lcm(e1.X, e2.W)
-    sy, sv = ly // e1.W, dm // e1.X
-    free = [(j, y * sy, v * sv)
-            for j, y, v in zip(keep.tolist(), loc[keep].tolist(), gap[keep].tolist())]
-    zs = [z * (ly // e2.X) for z in e2.x.tolist()]
-    ms = [m * (dm // e2.W) for m in e2.w.tolist()]
+    free = list(zip(keep.tolist(), over(loc[keep], e1.W, ly), over(gap[keep], e1.X, dm)))
+    zs, ms = over(e2.x, e2.X, ly), over(e2.w, e2.W, dm)
+    # First moment the free mass holds beyond what the targets still ask
+    # for; it is spread evenly over those targets' windows.
     excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in zip(zs, ms))
     todo = sum(ms)
     k_n, blocks = len(e1.w), []
@@ -240,19 +220,17 @@ def _exact_certificate(e1, e2, tol):
         if t < len(zs) - 1:
             window = []
             if free:
-                # need = m (z + excess / todo), a first moment over dm * ly.
-                need = m * z if not excess else Fraction(m * (z * todo + excess), todo)
+                need = m * z if not excess else m * (z + ratio(excess, todo))
                 a, b, left, right, step = _shadow(free, m, need)
                 if step:
-                    step = Fraction(step[0]) / step[1]
-                    q = step.denominator
+                    shift = ratio(*step)
+                    q, shift = (shift.denominator, shift.numerator) if exact else (1, shift)
                     if q > 1:
                         dm, excess, todo, m = dm * q, excess * q, todo * q, m * q
                         ms = [v * q for v in ms]
                         free = [(j, y, v * q) for j, y, v in free]
                         blocks = [(*block, v * q) for *block, v in blocks]
-                    left = left * q + step.numerator
-                    right = right * q + step.numerator
+                    left, right = left * q + shift, right * q + shift
                 window, free = _cut(free, a, b, left, right)
         window.sort()
         total = sum(mass for _, _, mass in window)
@@ -260,16 +238,19 @@ def _exact_certificate(e1, e2, tol):
         # The pair passed is_feasible_pair, so tol >= 0 and a column that
         # hits its atom exactly passes without a Fraction.
         miss, off = total - m, moment - total * z
-        if (miss or off) and (abs(Fraction(miss, dm)) > tol
-                              or abs(Fraction(off, dm * ly)) > tol * Fraction(total, dm)):
+        if (miss or off) and (abs(ratio(miss, dm)) > tol
+                              or abs(ratio(off, dm * ly)) > tol * ratio(total, dm)):
             return None
         excess -= moment - m * z
         todo -= m
         blocks += _column(window, total, k_n, t)
-    den = e1.W * dm
-    # Every cell is a row weight times a share of its column: under 2 den.
-    dtype = _int_dtype(2 * den)
-    return FiniteStructure._of(_table(blocks, e1.w.astype(dtype), len(zs)), den)
+    if exact:
+        den = e1.W * dm
+        # Every cell is a row weight times a share of its column: under 2 den.
+        u = e1.w.astype(_int_dtype(2 * den))
+    else:
+        den, u = None, np.array(over(e1.w, e1.W, 1))
+    return FiniteStructure._of(_table(blocks, u, len(zs)), den)
 
 
 # ---------------------------------------------------------------------------

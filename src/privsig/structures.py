@@ -31,6 +31,7 @@ from ._num import (
     TABLE_TOL,
     WEIGHT_DROP_TOL,
     _common_denominator,
+    _exact_tol,
     _float_array,
     _int_dtype,
     _is_rational,
@@ -60,33 +61,33 @@ class SimplexDist:
     atoms: tuple
 
     def __init__(self, atoms):
-        self._set_atoms(atoms, merge=True)
+        self._set_atoms(atoms)
 
     @classmethod
-    def _of_clusters(cls, atoms, checked=True):
-        """The distribution of posterior vectors that are already clustered.
+    def _of_clusters(cls, atoms):
+        """The distribution of the posterior vectors that the library
+        clustered.
 
         Drops and renormalizes as the constructor does, but merges no
         atoms: clustering the means of clusters again can merge two of them
-        (notes/decisions.md, "Posterior clustering").  With ``checked``
-        false the atoms are exact posteriors, on the simplex with positive
-        weights by construction, and are not validated again.
+        (notes/decisions.md, "Posterior clustering").  The posteriors lie on
+        the simplex with positive weights by construction, float or exact,
+        so they are not validated again.
         """
         dist = object.__new__(cls)
-        dist._set_atoms(atoms, merge=False, check=checked)
+        dist._set_atoms(atoms, clustered=True)
         return dist
 
-    def _set_atoms(self, atoms, merge, check=True):
+    def _set_atoms(self, atoms, clustered=False):
         pairs = [(tuple(v), w) for v, w in atoms]
         if not pairs:
             raise ValidationError("a simplex distribution needs at least one atom")
         m = len(pairs[0][0])
         tols = (TABLE_TOL, PROBABILITY_TOL, WEIGHT_DROP_TOL)
         if m and isinstance(pairs[0][0][0], Fraction):
-            # Comparing a Fraction with a float converts the float each time.
-            tols = tuple(map(Fraction, tols))
+            tols = tuple(map(_exact_tol, tols))
         table_tol, probability_tol, drop_tol = tols
-        if check:
+        if not clustered:
             for vec, w in pairs:
                 if len(vec) != m:
                     raise ValidationError("posterior vectors have mixed lengths")
@@ -102,7 +103,7 @@ class SimplexDist:
                 if w < 0:
                     raise ValidationError(f"negative weight {w}")
         pairs = [(v, w) for v, w in pairs if w > drop_tol]
-        if merge:
+        if not clustered:
             merged, _ = _cluster([v for v, _ in pairs], [w for _, w in pairs])
         else:
             merged = sorted(pairs, key=lambda p: p[0])
@@ -132,22 +133,22 @@ def _finite(value) -> bool:
     return not isinstance(value, (float, np.floating)) or math.isfinite(value)
 
 
-def _cluster(vecs, weights, tol=POSTERIOR_MERGE_TOL):
+def _cluster(vecs, weights):
     """Cluster posterior vectors by the anchor rule.
 
     Vectors are visited in lexicographic order.  Each joins the earliest
-    cluster whose first member (its anchor) is within ``tol`` in max norm,
-    else it anchors a new cluster; only anchors whose first coordinate is
-    within ``tol`` of its own can qualify.  The result depends neither on
-    the order of the inputs nor on their weights (notes/decisions.md,
-    "Posterior clustering").
+    cluster whose first member (its anchor) is within
+    ``POSTERIOR_MERGE_TOL`` in max norm, else it anchors a new cluster;
+    only anchors whose first coordinate is that close to its own can
+    qualify.  The result depends neither on the order of the inputs nor on
+    their weights (notes/decisions.md, "Posterior clustering").
 
     Returns ``(atoms, label)``: the ``(weighted mean vector, total weight)``
     of each cluster, sorted by vector, and the atom index of each input.
     """
+    tol = POSTERIOR_MERGE_TOL
     if vecs and isinstance(vecs[0][0], Fraction):
-        # Comparing a Fraction with a float converts the float each time.
-        tol = Fraction(tol)
+        tol = _exact_tol(tol)
     anchors, members = [], []
     for i in sorted(range(len(vecs)), key=vecs.__getitem__):
         x = vecs[i]
@@ -392,10 +393,6 @@ def _group_rows(rows):
     return order[new], group_of
 
 
-#: ``POSTERIOR_MERGE_TOL`` as the exact value of the float.
-_MERGE_TOL_EXACT = Fraction(POSTERIOR_MERGE_TOL)
-
-
 def _separated_order(rows, exact):
     """The indices of ``rows`` in the lexicographic order of their
     posteriors when no two lie within ``POSTERIOR_MERGE_TOL``, else None.
@@ -408,7 +405,7 @@ def _separated_order(rows, exact):
     if exact:
         sums = rows.sum(axis=1)
         # Two distinct posteriors c / s differ by 1 / s**2 or more somewhere.
-        if int(sums.max()) ** 2 * _MERGE_TOL_EXACT >= 1:
+        if int(sums.max()) ** 2 * _exact_tol(POSTERIOR_MERGE_TOL) >= 1:
             return None
         # Rows and sums are below 10**5, so the quotients sort exactly.
         quotients = rows.astype(np.int64) / sums.astype(np.int64)[:, None]
@@ -472,16 +469,12 @@ def _agent_joint(s: FiniteStructure, agent: int):
     return s._num.sum(axis=axes) if axes else s._num
 
 
-def _belief_dist(atoms, exact=False):
-    """The belief distribution of the kernel's atoms, not clustered again.
-
-    ``exact`` atoms are the posteriors :func:`_posteriors` built from
-    integer numerators, exact and valid by construction, so they are not
-    validated again.
-    """
+def _belief_dist(atoms):
+    """The belief distribution of the posteriors :func:`_posteriors`
+    built, valid by construction: neither clustered nor validated again."""
     if len(atoms[0][0]) == 2:
-        return AtomicDist._of_clusters([(vec[1], w) for vec, w in atoms], not exact)
-    return SimplexDist._of_clusters(atoms, not exact)
+        return AtomicDist._of_clusters([(vec[1], w) for vec, w in atoms])
+    return SimplexDist._of_clusters(atoms)
 
 
 def posterior_dist(s: FiniteStructure, agent: int):
@@ -493,12 +486,12 @@ def posterior_dist(s: FiniteStructure, agent: int):
     :class:`~privsig.beliefs.AtomicDist` over P(state = 1 | signal) when the
     state is binary, and a :class:`SimplexDist` otherwise.
     """
-    return _belief_dist(_posteriors(_agent_joint(s, agent), s._den)[0], s.exact)
+    return _belief_dist(_posteriors(_agent_joint(s, agent), s._den)[0])
 
 
 def joint_posterior_dist(s: FiniteStructure):
     """Posterior distribution when the whole signal profile is observed."""
-    return _belief_dist(_posteriors(s._num.reshape(s.m, -1), s._den)[0], s.exact)
+    return _belief_dist(_posteriors(s._num.reshape(s.m, -1), s._den)[0])
 
 
 def is_private_private(s: FiniteStructure, tol=ORDER_TOL) -> bool:
@@ -844,8 +837,8 @@ def _exact_cells_invalid(flat):
     # Row totals and their distance to den stay below this bound.
     bound = (flat.shape[-1] + 1) * max(den, int(abs(num).max(initial=0)))
     num = num.astype(_int_dtype(bound), copy=False)
-    table_tol = math.floor(Fraction(TABLE_TOL) * den)
-    probability_tol = math.floor(Fraction(PROBABILITY_TOL) * den)
+    table_tol = math.floor(_exact_tol(TABLE_TOL) * den)
+    probability_tol = math.floor(_exact_tol(PROBABILITY_TOL) * den)
     return (num < -table_tol).any(axis=1), abs(num.sum(axis=1) - den) > probability_tol
 
 
@@ -1073,7 +1066,4 @@ def rasterize(region: RegionSet, resolution: int) -> FuzzyGrid:
     for (i_lo, j_lo, areas, _), factor in zip(parts, factors):
         h, k = areas.shape
         total[i_lo:i_lo + h, j_lo:j_lo + k] += areas.astype(dtype, copy=False) * factor
-    values, inverse = np.unique(total, return_inverse=True)
-    fractions = np.empty((len(values), 2), dtype=object)
-    fractions[:] = [(Fraction(den - v, den), Fraction(v, den)) for v in values.tolist()]
-    return FuzzyGrid(fractions[inverse.reshape(r, r)])
+    return FuzzyGrid(np.stack((_fractions(den - total, den), _fractions(total, den)), axis=-1))

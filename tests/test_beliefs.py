@@ -100,6 +100,12 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="'atoms'"):
             AtomicDist(atoms)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_weights(self, weight):
+        # A NaN weight would otherwise be dropped silently.
+        with pytest.raises(ValidationError, match="'atoms'"):
+            AtomicDist([(0.5, 1.0), (0.3, weight)])
+
     def test_exact_flag(self):
         assert QUARTERS.exact
         assert not AtomicDist([(0.25, 0.5), (0.75, 0.5)]).exact
@@ -754,6 +760,54 @@ def exact_contractions(draw):
     if 0 <= x + nudge <= 1:
         out[t] = (x + nudge, w)
     return mu1, AtomicDist(out)
+
+
+def float_copy(dist):
+    return AtomicDist([(float(x), float(w)) for x, w in dist.atoms])
+
+
+@st.composite
+def mixed_dists(draw):
+    """A tidy exact distribution with floats in one or more of its places."""
+    d = draw(exact_dists(max_atoms=6, tidy=True))
+    flags = draw(st.lists(st.booleans(), min_size=2 * len(d.atoms), max_size=2 * len(d.atoms)))
+    flags[draw(st.integers(0, len(flags) - 1))] = True
+    values = [float(v) if f else v for v, f in zip([v for atom in d.atoms for v in atom], flags)]
+    return AtomicDist(list(zip(values[::2], values[1::2])))
+
+
+class TestFloatGaps:
+    """Float distributions take the support-gap sweep of exact ones on
+    float64 arrays: the values of the float loop it replaced, bit for bit.
+    Mixed ones take the same float view."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(dist_strategy(), exact_dists().map(float_copy)))
+    def test_gaps_and_conjugate_match_the_float_loop(self, d):
+        indices, atoms = support_gaps(d)
+        want_indices, want_atoms = oracle_support_gaps(d)
+        assert indices == want_indices
+        assert typed([v for atom in atoms for v in atom]) == typed(
+            [v for atom in want_atoms for v in atom])
+        assert typed_atoms(conjugate(d)) == typed_atoms(oracle_conjugate(d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_dists())
+    def test_mixed_gaps_are_those_of_the_float_copy(self, d):
+        indices, atoms = support_gaps(d)
+        want_indices, want_atoms = support_gaps(float_copy(d))
+        assert indices == want_indices
+        values = [v for atom in atoms for v in atom]
+        assert all(type(v) is float for v in values)
+        assert typed(values) == typed([v for atom in want_atoms for v in atom])
+        assert typed_atoms(conjugate(d)) == typed_atoms(conjugate(float_copy(d)))
+
+    def test_point_mass_at_a_float(self):
+        # The weight is the int 1; the gaps are floats all the same.
+        indices, atoms = support_gaps(point_mass(0.3))
+        assert indices == [0, 1]
+        assert typed([v for atom in atoms for v in atom]) == typed([1.0, 0.3, 0.0, 0.7])
+        assert typed_atoms(conjugate(point_mass(0.3))) == typed([0.0, 0.7, 1.0, 0.3])
 
 
 class TestExactCertificate:

@@ -27,7 +27,11 @@ from privsig import (
     uniform_grid,
     welfare_of_pair,
 )
+from privsig._num import ORDER_TOL
+from privsig.beliefs import support_gaps
 from privsig.catalog import matching_game
+from privsig.feasibility_welfare import _column, _cut, _shadow, _table
+from privsig.structures import FiniteStructure
 from conftest import random_atomic, random_garble_dist
 
 QUARTERS = AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
@@ -207,6 +211,74 @@ class TestCertificateProperties:
             assert dists_close(posterior_dist(cert, 0), mu1, 1e-9)
             assert dists_close(posterior_dist(cert, 1), mu2, 1e-9)
             assert is_private_private(cert, 1e-9)
+
+
+def oracle_float_certificate(mu1, mu2, tol=ORDER_TOL):
+    """The float certificate body that the shared sweep replaced, kept as it
+    was, for a pair that passed is_feasible_pair.  ``support_gaps`` is
+    checked against the float loop it replaced in test_beliefs."""
+    u = np.array([float(w) for w in mu1.weights])
+    indices, atoms = support_gaps(mu1)
+    free = [(j, float(y), float(v)) for j, (y, v) in zip(indices, atoms)][::-1]
+    targets = [(float(z), float(m)) for z, m in mu2.atoms]
+    excess = sum(v * y for _, y, v in free) - sum(m * z for z, m in targets)
+    todo = sum(m for _, m in targets)
+    blocks = []
+    for t, (z, m) in enumerate(targets):
+        window = free
+        if t < len(targets) - 1:
+            window = []
+            if free:
+                a, b, left, right, step = _shadow(free, m, m * (z + excess / todo))
+                if step:
+                    step = step[0] / step[1]
+                    left, right = left + step, right + step
+                window, free = _cut(free, a, b, left, right)
+        window.sort()
+        total = sum(mass for _, _, mass in window)
+        moment = sum(mass * y for _, y, mass in window)
+        if abs(total - m) > tol or abs(moment - total * z) > tol * total:
+            return None
+        excess -= moment - m * z
+        todo -= m
+        blocks += _column(window, total, len(u), t)
+    return FiniteStructure._of(_table(blocks, u, len(targets)), None)
+
+
+def assert_float_table_of_the_oracle(mu1, mu2):
+    got = feasibility_certificate(mu1, mu2)
+    want = oracle_float_certificate(mu1, mu2) if is_feasible_pair(mu1, mu2) else None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got._den is None and got._num.dtype == want._num.dtype == np.float64
+        assert got._num.shape == want._num.shape
+        assert got._num.tobytes() == want._num.tobytes()
+
+
+class TestFloatCertificate:
+    """Float pairs, and exact mu1 with float mu2, run the integer sweep on
+    floats: the tables of the float body it replaced, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_feasible_pairs(), st.booleans())
+    def test_float_copies(self, pair, swap):
+        mu1, mu2 = (_floats(mu) for mu in (pair[::-1] if swap else pair))
+        assert_float_table_of_the_oracle(mu1, mu2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_feasible_pairs(), st.floats(-5e-10, 5e-10))
+    def test_round_off_pairs(self, pair, eps):
+        mu2 = AtomicDist([
+            (min(max(float(x) + eps, 0.0), 1.0), float(w)) for x, w in pair[1].atoms
+        ])
+        assert_float_table_of_the_oracle(_floats(pair[0]), mu2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_feasible_pairs(dens=(64, 2**61 - 1, 3**45)), st.booleans())
+    def test_exact_mu1_with_float_mu2(self, pair, swap):
+        mu1, mu2 = pair[::-1] if swap else pair
+        assume(0 < mean(mu1) < 1 and 0 < mean(mu2) < 1)
+        assert_float_table_of_the_oracle(mu1, _floats(mu2))
 
 
 class TestWelfare:
