@@ -1,6 +1,6 @@
 """Parent-versus-change ladder of the belief-distribution order tests.
 
-    python notes/bench_beliefs.py PARENT_TREE CHANGE_TREE --runs 5 --out BENCH_21.json
+    python notes/bench_beliefs.py PARENT_TREE CHANGE_TREE --runs 5 --out BENCH_22.json
 
 The harness is ``notes/ladder.py``: each case runs in a fresh interpreter,
 the trees alternately, and every case's answers are compared across the

@@ -9,9 +9,10 @@ generators and answer canonicalizer from its ``perfbench/``, so no case
 runs on a heap that the calls of an earlier case left (each worker still
 builds the inputs of every case).  The trees run alternately,
 ``--runs`` times each, and every case reports the median over all of its
-timed calls.  A case's answers from the two trees are compared through
-``perfbench.checks.canon``, so a faster wrong answer shows as
-``"same_answer": false``.  Timings are wall time on one thread.
+timed calls and, beside it, the quartiles of its per-run medians, which
+show how far one run of a tree strays from the next.  A case's answers
+from the two trees are compared through ``perfbench.checks.canon``, so a
+faster wrong answer shows as ``"same_answer": false``.  Timings are wall time on one thread.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def worker(cases, tree, repeats, case):
         times.append(time.perf_counter() - t0)
     digest = hashlib.sha256(repr(canon(answer)).encode()).hexdigest()
     print(json.dumps({"times_s": times, "answer": digest}))
+
+
+def quartiles(values):
+    """The first and third quartiles of ``values``; one value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
 def run_worker(script, tree, *args):
@@ -100,6 +109,9 @@ def main(script, cases, targets, inputs, argv=None):
             runs = [s[case] for s in samples[side] if case in s]
             times = [t for r in runs for t in r["times_s"]]
             row[f"{side}_median_s"] = round(statistics.median(times), 6) if times else None
+            if runs:
+                q1, q3 = quartiles([statistics.median(r["times_s"]) for r in runs])
+                row[f"{side}_run_q1_s"], row[f"{side}_run_q3_s"] = round(q1, 6), round(q3, 6)
         answers = {s[case]["answer"] for side in samples for s in samples[side] if case in s}
         if row["parent_median_s"] is not None:
             row["speedup"] = round(row["parent_median_s"] / row["change_median_s"], 1)
@@ -117,7 +129,8 @@ def main(script, cases, targets, inputs, argv=None):
             f"Median wall time over {args.runs} alternating runs per tree of {args.repeats} "
             "calls each after one warm-up call, each case in a fresh interpreter: "
             f"python notes/{os.path.basename(script)} PARENT_TREE CHANGE_TREE --runs {args.runs} "
-            f"--repeats {args.repeats}. Inputs: {inputs} same_answer compares "
+            f"--repeats {args.repeats}. The run quartiles are those of the per-run medians "
+            f"of each tree. Inputs: {inputs} same_answer compares "
             "perfbench.checks.canon of each answer, which tells Fractions, ints and "
             "float bits apart."
         ),

@@ -66,17 +66,21 @@ def _exact_tol(tol):
 
 
 def _tol(tol):
-    """``tol`` itself when it is a finite non-negative number.
+    """``tol`` when it is a finite non-negative number, a NumPy number as
+    the Python ``float`` or ``int`` of its value.
 
     Every public test that takes a tolerance calls this once; NaN, an
     infinity, a negative value, a boolean or a non-number would otherwise
-    give wrong verdicts silently or fail deep inside a comparison.
+    give wrong verdicts silently or fail deep inside a comparison.  Exact
+    code takes ``Fraction(tol)``, which refuses NumPy floats.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float, Fraction, np.integer, np.floating)):
         raise ValidationError(f"field 'tol': expected a number, got {type(tol).__name__}")
     if (isinstance(tol, (float, np.floating)) and not math.isfinite(tol)) or tol < 0:
         raise ValidationError(f"field 'tol': expected a finite non-negative number, got {tol}")
-    return tol
+    if isinstance(tol, np.floating):
+        return float(tol)
+    return int(tol) if isinstance(tol, np.integer) else tol
 
 
 def _int_dtype(bound):

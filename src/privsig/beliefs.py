@@ -15,16 +15,17 @@ of weight ``1/R`` (see :func:`uniform_grid`).  Discretization error on the
 order tests is O(1/R).
 
 Numbers may be floats or :class:`fractions.Fraction`; all operations preserve
-exactness when fed Fractions.  An exact distribution, one whose locations and
-weights are all ints and Fractions, also holds its atoms on integer
+exactness when fed Fractions.  Every distribution holds one view of its
+atoms as arrays, read by every belief operation (notes/decisions.md, "Exact
+beliefs on one common denominator").  An exact distribution, one whose
+locations and weights are all ints and Fractions, views them on integer
 numerators: the locations over one common denominator and the weights over
-another (notes/decisions.md, "Exact beliefs on one common denominator").
-The support gaps, the conjugate, the mean, the order tests and the
-earth-mover distance of exact distributions run on those integers and build
-a Fraction only for a value they return, of the type the Fraction arithmetic
-gives it.  The support gaps of a float or mixed distribution come from the
-same sweep, run on its atoms as float64 arrays; its order tests and
-earth-mover distance walk its atoms in floats.
+another.  A float or mixed one views them as float64 arrays.  The support
+gaps, the conjugate, the mean, the order tests and the earth-mover distance
+run one sweep on either view; integers then build a Fraction only for a
+value they return, of the type the Fraction arithmetic gives it, and floats
+read their values directly.  A pair of an exact and a float distribution
+runs on the float views of both.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ from ._num import (
 from .errors import ValidationError
 
 
-class _Ints(NamedTuple):
-    """An exact distribution's atoms on integer numerators.
+class _View(NamedTuple):
+    """A distribution's atoms as arrays.
 
     Location ``i`` is ``x[i] / X`` and its weight ``w[i] / W``; the
-    locations ascend.  Each array is ``int64`` while its entries and
-    running sums fit (the weights add up to less than 2), else Python ints.
-    ``xf`` and ``wf`` mark the values that are Fractions rather than ints.
-    :func:`_float_view` fills the same fields with float64 arrays over
-    ``X = W = 1`` and no flags.
+    locations ascend.  An exact distribution holds integer numerators, each
+    array ``int64`` while its entries and running sums fit (the weights add
+    up to less than 2), else Python ints, and ``xf`` and ``wf`` mark the
+    values that are Fractions rather than ints.  A float or mixed one holds
+    float64 arrays over ``X = W = 1`` and no flags (:func:`_floats`).
     """
 
     x: np.ndarray
@@ -108,12 +109,11 @@ class AtomicDist:
         return dist
 
     @classmethod
-    def _of_ints(cls, ints):
-        """The distribution of clean integer atoms: none to drop or merge."""
+    def _of_view(cls, view):
+        """The distribution of a clean view: no atoms to drop or merge."""
         dist = object.__new__(cls)
-        atoms = zip(_numbers(ints.x, ints.X, ints.xf), _numbers(ints.w, ints.W, ints.wf))
-        object.__setattr__(dist, "atoms", tuple(atoms))
-        object.__setattr__(dist, "_ints", ints)
+        object.__setattr__(dist, "atoms", tuple(_atoms(view)))
+        object.__setattr__(dist, "_view", view)
         return dist
 
     def _set_atoms(self, atoms, clustered=False):
@@ -185,15 +185,15 @@ class AtomicDist:
         return all(is_exact(x) and is_exact(w) for x, w in self.atoms)
 
     @cached_property
-    def _ints(self):
-        """The atoms on integer numerators (:class:`_Ints`), or None unless
-        the distribution is exact.  Computed on first use."""
+    def _view(self):
+        """The atoms as arrays (:class:`_View`): integer numerators when
+        the distribution is exact, else floats.  Computed on first use."""
         if not self.exact:
-            return None
+            return _floats(self.atoms)
         xs, ws = self.locations, self.weights
         x, X = _common_denominator(xs)
         w, W = _common_denominator(ws)
-        return _Ints(
+        return _View(
             x.astype(_int_dtype(X)), X, w.astype(_int_dtype(2 * W)), W,
             np.array([isinstance(v, Fraction) for v in xs]),
             np.array([isinstance(v, Fraction) for v in ws]),
@@ -313,85 +313,108 @@ def quantile(dist: AtomicDist, u):
 
 
 # ---------------------------------------------------------------------------
-# Integer numerators of exact distributions
+# Views of distributions
 # ---------------------------------------------------------------------------
 #
-# Each function below mirrors the Fraction arithmetic of the generic code:
-# a value is a Fraction exactly when a Fraction took part in computing it,
-# and an int otherwise, which the boolean flag arrays track.
+# Each function below runs on either kind of view.  On integers it mirrors
+# the Fraction arithmetic of the generic code: a value is a Fraction exactly
+# when a Fraction took part in computing it, and an int otherwise, which the
+# boolean flag arrays track.  A float view has no flags; ``np.cumsum`` adds
+# in array order, as a Python loop over the atoms does, so each float value
+# is that loop's, bit for bit.
+
+
+def _floats(atoms):
+    """The view of ``atoms``, each value rounded once to float64."""
+    values = np.array(atoms, dtype=float)
+    return _View(values[:, 0], 1, values[:, 1], 1, None, None)
 
 
 def _number(num, den, frac):
-    """The value ``num / den``: a Fraction if ``frac``, else an int."""
+    """The value ``num / den``: a float if ``frac`` is None (a float view,
+    over 1), else a Fraction if ``frac``, else an int."""
+    if frac is None:
+        return float(num)
     return Fraction(int(num), den) if frac else int(num) // den
 
 
 def _numbers(nums, den, fracs):
-    """The values ``nums / den``: Fractions where ``fracs`` is set, else ints."""
+    """The values ``nums / den``: floats if ``fracs`` is None, else
+    Fractions where ``fracs`` is set and ints elsewhere."""
+    if fracs is None:
+        return nums.tolist()
     return [Fraction(n, den) if f else n // den
             for n, f in zip(nums.tolist(), fracs.tolist())]
 
 
+def _atoms(view):
+    """The ``(location, weight)`` pairs of ``view`` as Python numbers."""
+    return list(zip(_numbers(view.x, view.X, view.xf), _numbers(view.w, view.W, view.wf)))
+
+
 def _scaled(nums, factor, bound):
-    """``nums * factor``, in ``int64`` when ``bound`` fits, else Python ints."""
+    """``nums * factor``, in ``int64`` when ``bound`` fits, else Python
+    ints; floats, whose factor is 1, as they are."""
+    if nums.dtype.kind == "f":
+        return nums
     out = nums.astype(_int_dtype(bound), copy=False)
     return out if factor == 1 else out * factor
 
 
-def _cumulative(ints, D):
-    """Running weight numerators over ``D``, from 0 before the first atom."""
-    w = _scaled(ints.w, D // ints.W, 2 * D)
-    return np.concatenate((np.zeros(1, w.dtype), np.cumsum(w)))
-
-
-def _float_view(dist):
-    """The atoms of a float or mixed ``dist`` as float64 arrays, in the
-    fields of :class:`_Ints` over the denominators 1, without type flags."""
-    atoms = np.array(dist.atoms, dtype=float)
-    return _Ints(atoms[:, 0], 1, atoms[:, 1], 1, None, None)
+def _cumulative(e, D):
+    """Running weights over ``D``, from 0 before the first atom."""
+    w = _scaled(e.w, D // e.W, 2 * D)
+    return np.concatenate((np.zeros(1, w.dtype), w.cumsum()))
 
 
 def _gaps(e):
-    """Every support gap ``j = 0..k`` of ``e``, empty ones included:
-    ``(location over W, length over X, location flags, length flags)``.
-    The flags are None for a :func:`_float_view`.
+    """The nonempty support gaps of the distribution that ``e`` views, from
+    the last to the first: their indices ``j`` and their atoms as a view,
+    the locations ascending over ``W`` and the lengths over ``X``.
 
     Gap ``j``'s atom lies at ``1 - C_j``, pinned to 0 when the weights add
     up to more than 1, and weighs ``x_{j+1} - x_j``.  Each ``C_j`` adds the
     weights in atom order, so float gaps are those of the sums in order.
     """
     ends = np.concatenate((np.zeros(1, e.x.dtype), e.x, np.full(1, e.X, e.x.dtype)))
-    loc = e.W - np.concatenate((np.zeros(1, e.w.dtype), np.cumsum(e.w)))
+    gap = ends[1:] - ends[:-1]
+    loc = e.W - np.concatenate((np.zeros(1, e.w.dtype), e.w.cumsum()))
     low = loc < 0
     loc[low] = 0
+    keep = np.flatnonzero(gap > 0)[::-1]
     if e.wf is None:
-        return loc, np.diff(ends), None, None
+        return keep, _View(loc[keep], e.W, gap[keep], e.X, None, None)
     # 0 and 1 take the type of the first weight, as the Fraction code's do.
     first = e.wf[:1]
     loc_f = np.logical_or.accumulate(np.concatenate((first, e.wf)))
     loc_f[low] = first[0]
     gap_f = np.concatenate((first, e.xf)) | np.concatenate((e.xf, first))
-    return loc, np.diff(ends), loc_f, gap_f
+    return keep, _View(loc[keep], e.W, gap[keep], e.X, loc_f[keep], gap_f[keep])
 
 
 def _clean_conjugate(e):
-    """The conjugate of ``e`` on integers: the reversed nonempty gaps, with
-    the locations over ``W`` and the weights over ``X``.  None when the
-    constructor would drop or merge atoms of it."""
-    loc, gap, loc_f, gap_f = _gaps(e)
-    keep = np.flatnonzero(gap > 0)[::-1]
-    x, w = loc[keep], gap[keep]
-    # w / X > WEIGHT_DROP_TOL and steps / W >= MERGE_TOL, on the integers.
-    if w.min() <= math.floor(_exact_tol(WEIGHT_DROP_TOL) * e.X):
+    """The view of the conjugate of the distribution that ``e`` views: its
+    nonempty gaps, the locations over ``W`` and the weights over ``X``.
+    None when the constructor would drop, merge or refuse atoms of it."""
+    _, g = _gaps(e)
+    if g.wf is None:
+        # The constructor adds the weights in this order; exact gaps add up
+        # to X.
+        if abs(g.w.cumsum()[-1] - 1) > TABLE_TOL:
+            return None
+        drop, merge = WEIGHT_DROP_TOL, MERGE_TOL
+    else:
+        # w / X > WEIGHT_DROP_TOL and steps / W >= MERGE_TOL, on the integers.
+        drop = math.floor(_exact_tol(WEIGHT_DROP_TOL) * e.X)
+        merge = math.ceil(_exact_tol(MERGE_TOL) * e.W)
+    if g.w.min() <= drop or (len(g.x) > 1 and (g.x[1:] - g.x[:-1]).min() < merge):
         return None
-    if len(x) > 1 and np.diff(x).min() < math.ceil(_exact_tol(MERGE_TOL) * e.W):
-        return None
-    return _Ints(x, e.W, w, e.X, loc_f[keep], gap_f[keep])
+    return g
 
 
 class _Sweep(NamedTuple):
-    """Merged breakpoints ``y / Y`` of two exact distributions and
-    ``F_a - F_b = d / D`` at each, with their type flags."""
+    """Merged breakpoints ``y / Y`` of two distributions and
+    ``F_a - F_b = d / D`` at each, with their type flags (None on floats)."""
 
     y: np.ndarray
     Y: int
@@ -402,20 +425,21 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(ea, eb):
-    """:func:`_cdf_differences` on integers: the locations of both
-    distributions on ``lcm(X_a, X_b)``, the weights on ``lcm(W_a, W_b)``."""
+    """One pass over the atoms of two views of one kind.
+
+    The breakpoints are the locations of both plus 0 and 1, ascending and
+    without repeats; integers take the locations on ``lcm(X_a, X_b)`` and
+    the weights on ``lcm(W_a, W_b)``.  Each running CDF adds the weights in
+    atom order, as :func:`cdf_eval` does.
+    """
     Y, D = math.lcm(ea.X, eb.X), math.lcm(ea.W, eb.W)
     xa, xb = _scaled(ea.x, Y // ea.X, Y), _scaled(eb.x, Y // eb.X, Y)
-    y = np.sort(np.concatenate((xa, xb)))
-    parts = [y[np.concatenate(([True], y[1:] != y[:-1]))]]
-    if y[0] != 0:
-        parts.insert(0, np.zeros(1, y.dtype))
-    if y[-1] != Y:
-        parts.append(np.full(1, Y, y.dtype))
-    y = np.concatenate(parts)
-    ia = np.searchsorted(xa, y, side="right")
-    ib = np.searchsorted(xb, y, side="right")
+    y = np.sort(np.concatenate((np.zeros(1, xa.dtype), xa, xb, np.full(1, Y, xa.dtype))))
+    y = y[np.concatenate(([True], y[1:] != y[:-1]))]
+    ia, ib = xa.searchsorted(y, side="right"), xb.searchsorted(y, side="right")
     d = _cumulative(ea, D)[ia] - _cumulative(eb, D)[ib]
+    if ea.wf is None:
+        return _Sweep(y, Y, d, D, None, None)
     # A breakpoint has its atom's type, a's on a tie; the added 0 and 1
     # are ints.  An index of -1 reads the largest atom, never equal to y.
     on_a = xa[ia - 1] == y
@@ -426,30 +450,61 @@ def _sweep(ea, eb):
 
 
 def _integral_terms(s):
-    """``(y_{i+1} - y_i) (F_a - F_b)(y_i)`` over ``Y D``; every partial sum
-    stays under ``2 Y D``."""
-    dtype = _int_dtype(2 * s.Y * s.D)
-    return np.diff(s.y.astype(dtype)), s.d[:-1].astype(dtype)
+    """``y_{i+1} - y_i`` and ``(F_a - F_b)(y_i)``, whose products are over
+    ``Y D``; every partial sum of them stays under ``2 Y D``."""
+    bound = 2 * s.Y * s.D
+    y = _scaled(s.y, 1, bound)
+    return y[1:] - y[:-1], _scaled(s.d[:-1], 1, bound)
 
 
-def _is_mpc_ints(ea, eb, tol):
-    """:func:`is_mpc` on integers, with the verdicts of the Fraction code:
-    int_y^1 (F_a - F_b) at each breakpoint, over ``Y D``."""
+def _upper_integrals(ea, eb):
+    """The sweep of two views of one kind and, at each of its breakpoints
+    ``y``, ``int_y^1 (F_a - F_b) dx`` over ``Y D``.
+
+    Both CDFs are constant between breakpoints, so the integral is
+    piecewise linear and its extrema lie on the breakpoints.  The sums run
+    from 1 down, one breakpoint at a time.
+    """
     s = _sweep(ea, eb)
     widths, diffs = _integral_terms(s)
     vals = np.zeros(len(s.y), widths.dtype)
-    vals[:-1] = np.cumsum((widths * diffs)[::-1])[::-1]
-    scale = s.Y * s.D
-    return (abs(Fraction(int(vals[0]), scale)) <= tol
-            and Fraction(int(vals.min()), scale) >= -tol)
+    vals[:-1] = (widths * diffs)[::-1].cumsum()[::-1]
+    return s, vals
 
 
-def _w1_ints(ea, eb):
-    """:func:`wasserstein1` on integers."""
+def _is_mpc(ea, eb, tol) -> bool:
+    """:func:`is_mpc` on two views of one kind.  An exact integral is
+    compared with ``tol`` as a Fraction, as the Fraction code compares it."""
+    s, vals = _upper_integrals(ea, eb)
+    frac = None if s.df is None else True
+    first, low = (_number(v, s.Y * s.D, frac) for v in (vals[0], vals.min()))
+    return abs(first) <= tol and low >= -tol
+
+
+def _w1(ea, eb):
+    """:func:`wasserstein1` on two views of one kind."""
     s = _sweep(ea, eb)
     widths, diffs = _integral_terms(s)
-    frac = (s.yf[:-1] | s.yf[1:] | s.df[:-1]).any()
-    return _number((widths * np.abs(diffs)).sum(), s.Y * s.D, frac)
+    total = (widths * np.abs(diffs)).cumsum()[-1]
+    frac = None if s.yf is None else (s.yf[:-1] | s.yf[1:] | s.df[:-1]).any()
+    return _number(total, s.Y * s.D, frac)
+
+
+def _pair(a: AtomicDist, b: AtomicDist):
+    """The distributions that a pair runs on: ``a`` and ``b`` when both are
+    exact or neither is, else the float copies of both, each value of the
+    exact one rounded once to float."""
+    if (a._view.wf is None) is (b._view.wf is None):
+        return a, b
+    return tuple(d if d._view.wf is None else AtomicDist._of_view(_floats(d.atoms))
+                 for d in (a, b))
+
+
+def _conjugate_view(dist):
+    """The view of ``conjugate(dist)``, without its Python values unless
+    the constructor has to build it."""
+    view = _clean_conjugate(dist._view)
+    return conjugate(dist)._view if view is None else view
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +513,11 @@ def _w1_ints(ea, eb):
 
 def mean(dist: AtomicDist):
     """Expectation of the distribution."""
-    e = dist._ints
-    if e is None:
-        return sum(x * w for x, w in dist.atoms)
-    dtype = _int_dtype(2 * e.X * e.W)
-    total = np.dot(e.x.astype(dtype), e.w.astype(dtype))
-    return _number(total, e.X * e.W, e.xf.any() or e.wf.any())
+    e = dist._view
+    bound = 2 * e.X * e.W
+    total = (_scaled(e.x, 1, bound) * _scaled(e.w, 1, bound)).cumsum()[-1]
+    frac = None if e.xf is None else e.xf.any() or e.wf.any()
+    return _number(total, e.X * e.W, frac)
 
 
 def support_gaps(dist: AtomicDist):
@@ -475,13 +529,8 @@ def support_gaps(dist: AtomicDist):
     Returns the list of indices and the parallel list of atoms: floats for
     a float or mixed ``dist``.
     """
-    e = dist._ints
-    loc, gap, loc_f, gap_f = _gaps(_float_view(dist) if e is None else e)
-    keep = np.flatnonzero(gap > 0)
-    if e is None:
-        return keep.tolist(), list(zip(loc[keep].tolist(), gap[keep].tolist()))
-    locs = _numbers(loc[keep], e.W, loc_f[keep])
-    return keep.tolist(), list(zip(locs, _numbers(gap[keep], e.X, gap_f[keep])))
+    keep, g = _gaps(dist._view)
+    return keep[::-1].tolist(), _atoms(g)[::-1]
 
 
 def conjugate(dist: AtomicDist) -> AtomicDist:
@@ -493,64 +542,11 @@ def conjugate(dist: AtomicDist) -> AtomicDist:
     conjugating twice returns the original distribution.  On integer
     numerators the two denominators swap.
     """
-    e = dist._ints
-    ints = None if e is None else _clean_conjugate(e)
-    if ints is not None:
-        return AtomicDist._of_ints(ints)
-    _, atoms = support_gaps(dist)
-    atoms.reverse()
-    return AtomicDist(atoms)
-
-
-def _cdf_differences(a: AtomicDist, b: AtomicDist):
-    """Merged breakpoints of ``a`` and ``b`` and ``F_a - F_b`` at each.
-
-    One left-to-right sweep over the two sorted atom lists.  The breakpoints
-    are the locations of both distributions plus 0 and 1, ascending and
-    without repeats (on a tie ``a``'s location is kept).  Each running CDF
-    adds the weights in atom order, as :func:`cdf_eval` does, so the values
-    equal ``cdf_eval(a, y) - cdf_eval(b, y)`` exactly.  Returns
-    ``(breakpoints, differences)``.
-    """
-    xa, xb = a.atoms, b.atoms
-    na, nb = len(xa), len(xb)
-    i = j = 0
-    fa = fb = 0
-    ys, diffs = [], []
-    if xa[0][0] != 0 and xb[0][0] != 0:
-        ys.append(0)
-        diffs.append(0)
-    while i < na or j < nb:
-        if j == nb or (i < na and xa[i][0] <= xb[j][0]):
-            y = xa[i][0]
-        else:
-            y = xb[j][0]
-        while i < na and xa[i][0] <= y:
-            fa = fa + xa[i][1]
-            i += 1
-        while j < nb and xb[j][0] <= y:
-            fb = fb + xb[j][1]
-            j += 1
-        ys.append(y)
-        diffs.append(fa - fb)
-    if ys[-1] != 1:
-        ys.append(1)
-        diffs.append(fa - fb)
-    return ys, diffs
-
-
-def _upper_cdf_integrals(a: AtomicDist, b: AtomicDist):
-    """At each merged breakpoint y, the value of int_y^1 (F_a - F_b) dx.
-
-    Returns (breakpoints, values).  Both CDFs are constant between merged
-    breakpoints, so the integral is piecewise linear and its extrema over y
-    lie on the returned grid.
-    """
-    ys, diffs = _cdf_differences(a, b)
-    vals = [0] * len(ys)
-    for i in range(len(ys) - 2, -1, -1):
-        vals[i] = vals[i + 1] + (ys[i + 1] - ys[i]) * diffs[i]
-    return ys, vals
+    e = dist._view
+    view = _clean_conjugate(e)
+    if view is not None:
+        return AtomicDist._of_view(view)
+    return AtomicDist(_atoms(_gaps(e)[1]))
 
 
 def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
@@ -562,14 +558,12 @@ def is_mpc(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
     exactly at the union of the two distributions' breakpoints, which one
     O(k) sweep over the two sorted atom lists visits.  The first breakpoint
     is 0, where the integral is ``mean(b) - mean(a)``, so the same sweep
-    compares the means.
+    compares the means.  An exact distribution paired with a float one is
+    rounded to floats.
     """
     tol = _tol(tol)
-    ea, eb = a._ints, b._ints
-    if ea is not None and eb is not None:
-        return _is_mpc_ints(ea, eb, tol)
-    _, vals = _upper_cdf_integrals(a, b)
-    return abs(vals[0]) <= tol and min(vals) >= -tol
+    a, b = _pair(a, b)
+    return _is_mpc(a._view, b._view, tol)
 
 
 def blackwell_dominates(a: AtomicDist, b: AtomicDist, tol=ORDER_TOL) -> bool:
@@ -585,36 +579,20 @@ def wasserstein1(a: AtomicDist, b: AtomicDist):
     """Earth-mover distance ``int |F_a - F_b|``, exact for step CDFs.
 
     One O(k) sweep over the merged breakpoints of the two distributions.
+    An exact distribution paired with a float one is rounded to floats.
     """
-    ea, eb = a._ints, b._ints
-    if ea is not None and eb is not None:
-        return _w1_ints(ea, eb)
-    ys, diffs = _cdf_differences(a, b)
-    total = 0
-    for y0, y1, d in zip(ys, ys[1:], diffs):
-        total = total + (y1 - y0) * abs(d)
-    return total
-
-
-def _conjugate_ints(dist):
-    """The integer atoms of ``conjugate(dist)`` for an exact ``dist``,
-    without its Fractions unless the constructor has to build it."""
-    ints = _clean_conjugate(dist._ints)
-    return conjugate(dist)._ints if ints is None else ints
+    a, b = _pair(a, b)
+    return _w1(a._view, b._view)
 
 
 def _is_mpc_of_conjugate(a: AtomicDist, b: AtomicDist, tol) -> bool:
-    """``is_mpc(a, conjugate(b), tol)``."""
-    if a._ints is not None and b._ints is not None:
-        return _is_mpc_ints(a._ints, _conjugate_ints(b), tol)
-    return is_mpc(a, conjugate(b), tol)
+    """``is_mpc(a, conjugate(b), tol)`` for a pair of one kind."""
+    return _is_mpc(a._view, _conjugate_view(b), tol)
 
 
 def _distance_to_conjugate(a: AtomicDist, b: AtomicDist):
-    """``wasserstein1(a, conjugate(b))``."""
-    if a._ints is not None and b._ints is not None:
-        return _w1_ints(a._ints, _conjugate_ints(b))
-    return wasserstein1(a, conjugate(b))
+    """``wasserstein1(a, conjugate(b))`` for a pair of one kind."""
+    return _w1(a._view, _conjugate_view(b))
 
 
 def dists_close(a, b, tol=ORDER_TOL) -> bool:

@@ -33,9 +33,9 @@ from ._num import _int_dtype, _tol
 from .beliefs import (
     AtomicDist,
     ORDER_TOL,
-    _float_view,
     _gaps,
     _is_mpc_of_conjugate,
+    _pair,
     conjugate,
     mean,
 )
@@ -49,9 +49,11 @@ def is_feasible_pair(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bool:
     True iff the means agree within ``tol`` and ``mu2`` is a
     mean-preserving contraction of the conjugate of ``mu1``.  The criterion
     is symmetric in its arguments.  Exact pairs compare on integer
-    numerators and build no Fraction of the conjugate.
+    numerators and build no Fraction of the conjugate; a pair of an exact
+    and a float distribution runs on the float copies of both.
     """
     tol = _tol(tol)
+    mu1, mu2 = _pair(mu1, mu2)
     if abs(mean(mu1) - mean(mu2)) > tol:
         return False
     return _is_mpc_of_conjugate(mu2, mu1, tol)
@@ -191,14 +193,12 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
             )
     if not is_feasible_pair(mu1, mu2, tol):
         return None
-    e1, e2 = mu1._ints, mu2._ints
-    exact = e1 is not None and e2 is not None
+    e1, e2 = mu1._view, mu2._view
+    exact = e1.wf is not None and e2.wf is not None
     if exact:
         ly, dm = math.lcm(e1.W, e2.X), math.lcm(e1.X, e2.W)
         ratio, div = Fraction, operator.floordiv
     else:
-        e1 = _float_view(mu1) if e1 is None else e1
-        e2 = _float_view(mu2) if e2 is None else e2
         ly = dm = 1
         ratio = div = operator.truediv
 
@@ -206,9 +206,8 @@ def feasibility_certificate(mu1, mu2, tol=ORDER_TOL):
         # nums / den as numerators over common, or as floats.
         return [div(v * common, den) for v in nums.tolist()]
 
-    loc, gap, _, _ = _gaps(e1)
-    keep = np.flatnonzero(gap > 0)[::-1]
-    free = list(zip(keep.tolist(), over(loc[keep], e1.W, ly), over(gap[keep], e1.X, dm)))
+    keep, gaps = _gaps(e1)
+    free = list(zip(keep.tolist(), over(gaps.x, gaps.X, ly), over(gaps.w, gaps.W, dm)))
     zs, ms = over(e2.x, e2.X, ly), over(e2.w, e2.W, dm)
     # First moment the free mass holds beyond what the targets still ask
     # for; it is spread evenly over those targets' windows.

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from ._num import LP_TOL, _tol, as_fraction
-from .beliefs import AtomicDist, ORDER_TOL, _distance_to_conjugate, mean
+from .beliefs import AtomicDist, ORDER_TOL, _distance_to_conjugate, _pair, mean
 from .errors import ResourceBudgetError, ValidationError
 from .structures import FuzzyGrid, GridPartition, GridSet
 
@@ -42,13 +42,15 @@ def is_pareto_optimal_2x2(mu1: AtomicDist, mu2: AtomicDist, tol=ORDER_TOL) -> bo
     True iff ``mu2`` equals the conjugate of ``mu1`` within ``tol``
     (earth-mover distance between the two step CDFs).  The two belief
     distributions must have equal means, else no private private structure
-    realizes the pair at all and the question is vacuous.
+    realizes the pair at all and the question is vacuous.  A pair of an
+    exact and a float distribution runs on the float copies of both.
 
     For R-atom grid discretizations of continuous distributions, pass a
     tolerance of order 1/R: the discretization itself perturbs the conjugate
     by up to 1/(2R).
     """
     tol = _tol(tol)
+    mu1, mu2 = _pair(mu1, mu2)
     if abs(mean(mu1) - mean(mu2)) > tol:
         raise ValidationError("not a feasible pair: the means differ")
     return _distance_to_conjugate(mu2, mu1) <= tol

@@ -31,7 +31,7 @@ from privsig import (
     wasserstein1,
 )
 from privsig._num import ORDER_TOL, POSTERIOR_MERGE_TOL
-from privsig.beliefs import _cdf_differences, _upper_cdf_integrals, support_gaps
+from privsig.beliefs import _numbers, _pair, _upper_integrals, support_gaps
 from privsig.catalog import symmetric_binary_signal
 from privsig.structures import posterior_dist, require_private_private
 from conftest import random_atomic, random_garble_dist
@@ -231,6 +231,19 @@ class TestToleranceInput:
         for tol in (0, F(1, 10**9), 1e-9, np.float64(1e-9), np.int64(0), 10**400):
             assert is_feasible_pair(*FRONTIER, tol)
 
+    @pytest.mark.parametrize("kind", [np.float16, np.float32])
+    @pytest.mark.parametrize("test, args", [
+        (dists_close, (QUARTERS, AtomicDist([(F(1, 4), F(1, 2)), (F(3, 4) + F(1, 10**4), F(1, 2))]))),
+        (dists_close, (QUARTERS, THREE_ATOMS)),
+        (equivalent, (PRIVATE, symmetric_binary_signal(F(2, 3)))),
+        (equivalent, (PRIVATE, symmetric_binary_signal(F(3, 4) + F(1, 10**4)))),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_numpy_float_tol_on_exact_inputs(self, test, args, kind):
+        # Exact inputs compare with the tolerance's exact value, which a
+        # NumPy float would not give: the verdict is that of its value.
+        tol = kind(1e-3)
+        assert test(*args, tol) is test(*args, float(tol))
+
 
 class TestOrders:
     def test_point_mass_is_mpc_of_same_mean(self):
@@ -372,6 +385,35 @@ def typed(values):
     return [(v, type(v)) for v in values]
 
 
+def float_copy(dist):
+    return AtomicDist([(float(x), float(w)) for x, w in dist.atoms])
+
+
+def float_pair(a, b):
+    """The pair the order tests compute on: ``a`` and ``b``, or the float
+    copies of both when one is exact and the other is not."""
+    if a.exact == b.exact:
+        return a, b
+    return float_copy(a), float_copy(b)
+
+
+def swept(a, b):
+    """The breakpoints, CDF differences and upper integrals that ``is_mpc``
+    reads for a pair: floats for a float pair; for an exact pair the
+    breakpoints and differences typed by their flags and the integrals
+    ``Fraction(v, Y D)``."""
+    a, b = _pair(a, b)
+    s, vals = _upper_integrals(a._view, b._view)
+    if s.yf is None:
+        return s.y.tolist(), s.d.tolist(), vals.tolist()
+    return (_numbers(s.y, s.Y, s.yf), _numbers(s.d, s.D, s.df),
+            [F(int(v), s.Y * s.D) for v in vals])
+
+
+def as_floats(values):
+    return [float(v) for v in values]
+
+
 @st.composite
 def sweep_pairs(draw):
     """Float or Fraction distributions on a common grid of locations, so
@@ -394,28 +436,33 @@ def sweep_pairs(draw):
 
 class TestSweep:
     """The one-pass sweep behind the order tests against the per-breakpoint
-    cdf_eval formulation: equal on floats, equal and still exact on
-    Fractions."""
+    cdf_eval formulation: equal bit for bit on floats, equal and still
+    exact on Fractions.  A pair of an exact and a float distribution is
+    computed on the float copies of both."""
 
     @settings(max_examples=300, deadline=None)
     @given(sweep_pairs())
     def test_upper_cdf_integrals_match_cdf_eval_oracle(self, pair):
         a, b = pair
         for x, y in ((a, b), (b, a), (a, conjugate(b))):
-            ys, vals = _upper_cdf_integrals(x, y)
-            want_ys, want_vals = oracle_upper_cdf_integrals(x, y)
-            assert typed(ys) == typed(want_ys)
-            assert typed(vals) == typed(want_vals)
+            got = swept(x, y)
+            _, want_diffs = oracle_breakpoints(*float_pair(x, y))
+            want_ys, want_vals = oracle_upper_cdf_integrals(*float_pair(x, y))
+            want = (want_ys, want_diffs, want_vals)
+            if x.exact and y.exact:
+                assert got == want
+            else:
+                assert [typed(v) for v in got] == [typed(as_floats(v)) for v in want]
 
     @settings(max_examples=300, deadline=None)
     @given(sweep_pairs())
     def test_wasserstein1_matches_cdf_eval_oracle(self, pair):
         a, b = pair
         for x, y in ((a, b), (b, a), (a, conjugate(b))):
-            got, want = wasserstein1(x, y), oracle_wasserstein1(x, y)
+            got, want = wasserstein1(x, y), oracle_wasserstein1(*float_pair(x, y))
             assert typed([got]) == typed([want])
-            if x.exact and y.exact:
-                assert isinstance(got, (int, F))
+            assert isinstance(got, (int, F) if x.exact and y.exact else float)
+            assert type(is_mpc(x, y)) is bool
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_order_tests_never_call_cdf_eval(self, monkeypatch, exact):
@@ -679,14 +726,11 @@ class TestExactOnIntegers:
     @given(exact_dists(), exact_dists())
     def test_sweeps(self, a, b):
         for x, y in ((a, b), (b, a), (a, conjugate(b)), (a, a)):
-            ys, diffs = _cdf_differences(x, y)
+            ys, diffs, vals = swept(x, y)
             want_ys, want_diffs = oracle_cdf_differences(x, y)
             assert typed(ys) == typed(want_ys)
             assert typed(diffs) == typed(want_diffs)
-            ys, vals = _upper_cdf_integrals(x, y)
-            want_ys, want_vals = oracle_sweep_integrals(x, y)
-            assert typed(ys) == typed(want_ys)
-            assert typed(vals) == typed(want_vals)
+            assert vals == oracle_sweep_integrals(x, y)[1]
             assert typed([wasserstein1(x, y)]) == typed([oracle_sweep_wasserstein1(x, y)])
             for tol in (0, 1e-9, F(1, 7)):
                 assert is_mpc(x, y, tol) == oracle_is_mpc(x, y, tol)
@@ -762,14 +806,11 @@ def exact_contractions(draw):
     return mu1, AtomicDist(out)
 
 
-def float_copy(dist):
-    return AtomicDist([(float(x), float(w)) for x, w in dist.atoms])
-
-
 @st.composite
-def mixed_dists(draw):
-    """A tidy exact distribution with floats in one or more of its places."""
-    d = draw(exact_dists(max_atoms=6, tidy=True))
+def mixed_dists(draw, exact=None):
+    """A tidy exact distribution, or ``exact``, with floats in one or more
+    of its places."""
+    d = exact or draw(exact_dists(max_atoms=6, tidy=True))
     flags = draw(st.lists(st.booleans(), min_size=2 * len(d.atoms), max_size=2 * len(d.atoms)))
     flags[draw(st.integers(0, len(flags) - 1))] = True
     values = [float(v) if f else v for v, f in zip([v for atom in d.atoms for v in atom], flags)]
@@ -808,6 +849,106 @@ class TestFloatGaps:
         assert indices == [0, 1]
         assert typed([v for atom in atoms for v in atom]) == typed([1.0, 0.3, 0.0, 0.7])
         assert typed_atoms(conjugate(point_mass(0.3))) == typed([0.0, 0.7, 1.0, 0.3])
+
+
+@st.composite
+def kind_pairs(draw):
+    """Pairs that hold a float and are not both float: an exact distribution
+    with a float one, or a mixed one with any.  Half of the pairs are a
+    tidy distribution and its conjugate, each side in its own kind, so
+    they lie on the frontier up to round-off."""
+    d = draw(exact_dists(max_atoms=6, tidy=True))
+    other = (conjugate(d) if draw(st.booleans())
+             else draw(exact_dists(max_atoms=6, tidy=True)))
+
+    def in_kind(dist, kind):
+        if kind == "float":
+            return float_copy(dist)
+        return draw(mixed_dists(exact=dist)) if kind == "mixed" else dist
+
+    kinds = draw(st.sampled_from([("exact", "float"), ("float", "exact"), ("mixed", "exact"),
+                                  ("exact", "mixed"), ("mixed", "float"), ("mixed", "mixed")]))
+    return in_kind(d, kinds[0]), in_kind(other, kinds[1])
+
+
+class TestMixedPairs:
+    """A pair of an exact and a float distribution, or with a mixed one,
+    gives what the float copies of both give, types included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind_pairs())
+    def test_pairs_equal_their_float_copies(self, pair):
+        a, b = pair
+        fa, fb = float_copy(a), float_copy(b)
+        for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+            assert typed([wasserstein1(x, y)]) == typed([wasserstein1(fx, fy)])
+            assert type(wasserstein1(x, y)) is float
+            for tol in (0, ORDER_TOL):
+                for test in (is_mpc, is_feasible_pair):
+                    verdict = test(x, y, tol)
+                    assert type(verdict) is bool
+                    assert verdict == test(fx, fy, tol)
+                try:
+                    verdict = is_pareto_optimal_2x2(x, y, tol)
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        is_pareto_optimal_2x2(fx, fy, tol)
+                else:
+                    assert type(verdict) is bool
+                    assert verdict == is_pareto_optimal_2x2(fx, fy, tol)
+        for d, fd in ((a, fa), (b, fb)):
+            if not d.exact:
+                assert typed([mean(d)]) == typed([mean(fd)])
+                assert type(mean(d)) is float
+
+
+@st.composite
+def conjugate_edge_dists(draw):
+    """Float distributions whose conjugate the constructor cleans: a first
+    atom within WEIGHT_DROP_TOL of 0 or a last one within it of 1 (a gap
+    that it drops), an atom lighter than MERGE_TOL between two others (two
+    conjugate atoms that it merges), weights that add up to exactly 1
+    without an atom at 1 (a conjugate atom at 0), and a weight of 1e-16
+    that the distribution itself drops."""
+    locs = draw(st.lists(st.integers(1, 98), min_size=1, max_size=7, unique=True))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(locs), max_size=len(locs)))
+    if draw(st.booleans()):
+        # Make the total a power of two, so the float weights add up to 1.
+        raw[-1] += (1 << sum(raw).bit_length()) - sum(raw)
+    atoms = [(x / 100, r / sum(raw)) for x, r in zip(locs, raw)]
+    if draw(st.booleans()):
+        atoms.append((draw(st.sampled_from([1e-16, 5e-16])), atoms.pop()[1]))
+    if draw(st.booleans()):
+        atoms.append((1 - 2**-52, atoms.pop(0)[1]))
+    if draw(st.booleans()):
+        atoms.append((0.995, draw(st.sampled_from([6e-13, 9e-13]))))
+    if draw(st.booleans()):
+        atoms.append((0.996, 1e-16))
+    return AtomicDist(atoms)
+
+
+class TestFloatConjugate:
+    """The float conjugate is the constructor's distribution of the
+    reversed support gaps, typed, and keeps the view of its atoms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(conjugate_edge_dists(), dist_strategy()))
+    def test_matches_the_constructor(self, d):
+        got = conjugate(d)
+        _, gaps = support_gaps(d)
+        assert typed_atoms(got) == typed_atoms(AtomicDist(gaps[::-1]))
+        view = got._view
+        assert view.xf is None and (view.X, view.W) == (1, 1)
+        assert typed(view.x.tolist()) == typed(list(got.locations))
+        assert typed(view.w.tolist()) == typed(list(got.weights))
+
+    def test_edge_cases_are_drawn(self):
+        # Pins one distribution of each kind the strategy above is for.
+        merge = AtomicDist([(0.2, 0.5), (0.995, 7e-13), (0.5, 0.5)])
+        assert len(conjugate(merge).atoms) == len(support_gaps(merge)[1]) - 1
+        drop = AtomicDist([(5e-16, 0.5), (0.5, 0.5)])
+        assert len(conjugate(drop).atoms) == len(support_gaps(drop)[1]) - 1
+        assert conjugate(AtomicDist([(0.25, 0.5), (0.75, 0.5)])).atoms[0] == (0.0, 0.25)
 
 
 class TestExactCertificate:
